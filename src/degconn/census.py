@@ -1,11 +1,15 @@
 """Connected-component census and disconnection-probability estimation.
 
-Components are classified exactly for up to 6 vertices.  For a connected
-graph the pair (vertex count, edge count) plus the leaf count pins down every
-named class: the single named tree shapes (edge, paths), the unicyclic shapes
-(cycles, triangle with a pendant), and the dense 4-vertex shapes (K4 minus an
-edge, K4).  Everything else small is bucketed by its degree multiset and
-larger components by (vertex count, edge count).
+One key rule names every component.  A component of at most
+SMALL_COMPONENT_MAX (6) vertices is identified by its sorted degree
+multiset: if its (vertex count, edge count, leaf count) signature is in
+_NAMED_SIGNATURES it gets that name (edge, paths, cycles, triangle with a
+pendant, K4 minus an edge, K4), otherwise other_small_<sorted degrees>.  A
+larger component is large_<v>v_<e>e, whatever its shape, so a 7-vertex
+cycle is large_7v_7e.  Sampled batches label components with one sparse
+connected-components pass; edge lists (the exact oracle, single graphs) use
+union-find.  Both count components by an exact key and name each distinct
+key once.
 
 Monte Carlo estimation draws uniform simple graphs in fixed-size batches,
 runs one sparse connected-components pass over the block-diagonal union of a
@@ -32,11 +36,13 @@ from .degseq import (DegreeSequence, InvariantSet, compute_invariants,
 from .errors import TooLarge, TrialsTooFew
 from .exact import enumerate_realizations, iter_matching_extensions
 from .graphs import Matching, SimpleGraph, half_edge_owner
-from .sampler import (default_chain_steps, rejection_sample_batch,
-                      switch_chain_batch)
+from .sampler import (DEFAULT_MAX_ATTEMPTS, default_chain_steps,
+                      rejection_sample_batch, switch_chain_batch)
 from .streams import BATCH_SIZE, batch_ranges, substream
 
 SMALL_COMPONENT_MAX = 6
+_COUNT_BITS = 3  # holds a per-degree vertex count of 0..SMALL_COMPONENT_MAX
+_COUNT_MASK = (1 << _COUNT_BITS) - 1
 ORACLE_MAX_HALF_EDGES = 20
 SCHEMA_VERSION = 1
 
@@ -89,29 +95,6 @@ def connected_components(g: SimpleGraph) -> List[List[int]]:
     return sorted(groups.values())
 
 
-def classify_component(degrees: Sequence[int], edge_count: int) -> str:
-    """Class key for one connected component given its vertex degrees (within
-    the component) and edge count."""
-    nv = len(degrees)
-    n1 = sum(1 for d in degrees if d == 1)
-    if nv == 2 and edge_count == 1:
-        return "edge"
-    if edge_count == nv - 1 and n1 == 2:
-        # a tree with exactly two leaves is a path
-        return f"path_len_{edge_count}"
-    if edge_count == nv and n1 == 0 and max(degrees) == 2:
-        return "triangle" if nv == 3 else f"cycle_len_{nv}"
-    if nv == 4 and edge_count == 4 and n1 == 1:
-        return "triangle_pendant"
-    if nv == 4 and edge_count == 5:
-        return "k4_minus_e"
-    if nv == 4 and edge_count == 6:
-        return "k4"
-    if nv <= SMALL_COMPONENT_MAX:
-        return "other_small_" + "".join(str(d) for d in sorted(degrees))
-    return f"large_{nv}v_{edge_count}e"
-
-
 # (vertex count, edge count, leaf count) signatures of the named classes;
 # unique among connected graphs of <= 6 vertices (validated against the full
 # small-graph atlas in the test suite).
@@ -129,6 +112,25 @@ _NAMED_SIGNATURES = {
     (4, 5, 0): "k4_minus_e",
     (4, 6, 0): "k4",
 }
+
+
+def _large_name(nv: int, edge_count: int) -> str:
+    return f"large_{nv}v_{edge_count}e"
+
+
+def classify_component(degrees: Sequence[int], edge_count: int) -> str:
+    """Class key for one connected component given its vertex degrees (within
+    the component) and edge count: a named class from _NAMED_SIGNATURES,
+    else other_small_<sorted degrees> up to SMALL_COMPONENT_MAX vertices,
+    else large_<v>v_<e>e."""
+    nv = len(degrees)
+    if nv > SMALL_COMPONENT_MAX:
+        return _large_name(nv, edge_count)
+    n1 = sum(1 for d in degrees if d == 1)
+    named = _NAMED_SIGNATURES.get((nv, edge_count, n1))
+    if named is not None:
+        return named
+    return "other_small_" + "".join(str(d) for d in sorted(degrees))
 
 
 @dataclass
@@ -152,34 +154,36 @@ class ComponentTaxonomy:
         return {k: self.counts[k] for k in sorted(self.counts)}
 
 
+def _tally_edge_lists(n: int, degrees: Sequence[int],
+                      graphs: Iterable[Iterable[Tuple[int, int]]]
+                      ) -> Tuple[int, int, ComponentTaxonomy]:
+    """(graphs, connected graphs, taxonomy summed over them) for edge lists
+    on vertices 1..n that all realize `degrees`.  Components are counted by
+    sorted degree tuple, and each distinct tuple is named once at the end."""
+    whole = tuple(sorted(degrees))
+    shapes: Counter = Counter()
+    total = connected = 0
+    for edges in graphs:
+        uf = UnionFind(n)
+        for u, v in edges:
+            uf.union(u, v)
+        total += 1
+        if uf.components == 1:
+            connected += 1
+            shapes[whole] += 1
+            continue
+        groups: Dict[int, List[int]] = {}
+        for v in range(1, n + 1):
+            groups.setdefault(uf.find(v), []).append(degrees[v - 1])
+        shapes.update(tuple(sorted(g)) for g in groups.values())
+    tax = ComponentTaxonomy()
+    for degs, c in shapes.items():
+        tax.add(classify_component(degs, sum(degs) // 2), c)
+    return total, connected, tax
+
+
 def classify_components(g: SimpleGraph) -> ComponentTaxonomy:
-    tax = ComponentTaxonomy()
-    for comp in connected_components(g):
-        members = set(comp)
-        degs = [g.degree(v) for v in comp]
-        ne = sum(1 for u, v in g.edges() if u in members)
-        tax.add(classify_component(degs, ne))
-    return tax
-
-
-def _classify_from_edges(n: int, degrees: Sequence[int],
-                         edges: Iterable[Tuple[int, int]]) -> Tuple[int, ComponentTaxonomy]:
-    """(component count, taxonomy) for an edge list realizing `degrees`."""
-    uf = UnionFind(n)
-    edge_list = list(edges)
-    for u, v in edge_list:
-        uf.union(u, v)
-    ne: Dict[int, int] = Counter()
-    for u, v in edge_list:
-        ne[uf.find(u)] += 1
-    members: Dict[int, List[int]] = {}
-    for v in range(1, n + 1):
-        members.setdefault(uf.find(v), []).append(v)
-    tax = ComponentTaxonomy()
-    for root, verts in members.items():
-        tax.add(classify_component([degrees[v - 1] for v in verts],
-                                   ne.get(root, 0)))
-    return len(members), tax
+    return _tally_edge_lists(g.n, g.degree_vector(), [g.edges()])[2]
 
 
 @dataclass(frozen=True)
@@ -202,15 +206,8 @@ def exact_connectivity_oracle(seq: DegreeSequence,
         raise TooLarge(
             f"oracle refuses {2 * seq.m} half-edges (limit {max_half_edges})")
     validate_sequence(seq.degrees)
-    total = 0
-    connected = 0
-    tax = ComponentTaxonomy()
-    for edges in enumerate_realizations(seq.degrees):
-        total += 1
-        ncomp, t = _classify_from_edges(seq.n, seq.degrees, edges)
-        if ncomp == 1:
-            connected += 1
-        tax = tax.merge(t)
+    total, connected, tax = _tally_edge_lists(
+        seq.n, seq.degrees, enumerate_realizations(seq.degrees))
     return ConnectivityOracle(Fraction(connected, total), total, tax)
 
 
@@ -288,9 +285,6 @@ def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
 
     sizes = np.bincount(labels, minlength=ncomp)
     ne = np.bincount(labels[rows], minlength=ncomp)
-    deg = np.asarray(seq.degrees, dtype=np.int64)
-    leaves = np.bincount(labels, weights=np.tile(deg == 1, count),
-                         minlength=ncomp).astype(np.int64)
     graph_of = np.empty(ncomp, dtype=np.int64)
     graph_of[labels] = np.arange(count * n, dtype=np.int64) // n
 
@@ -312,51 +306,52 @@ def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
     for val, cnt in zip(*np.unique(second, return_counts=True)):
         tally.second_largest_edges[int(val)] += int(cnt)
 
-    # classification: named signatures vectorized, exact fallback for the rest
-    sig_class = np.full(ncomp, -1, dtype=np.int64)
-    for cls_id, ((sv, se, sl), cls) in enumerate(_NAMED_SIGNATURES.items()):
-        mask = (sizes == sv) & (ne == se) & (leaves == sl)
-        if mask.any():
-            sig_class[mask] = cls_id
-    named_counts = np.bincount(sig_class[sig_class >= 0],
-                               minlength=len(_NAMED_SIGNATURES))
-    for cls_id, cls in enumerate(_NAMED_SIGNATURES.values()):
-        if named_counts[cls_id]:
-            tally.taxonomy.add(cls, int(named_counts[cls_id]))
-    rest = np.nonzero(sig_class < 0)[0]
-    if rest.size:
-        big = rest[sizes[rest] > SMALL_COMPONENT_MAX]
-        if big.size:
-            keys, cnts = np.unique(
-                np.stack([sizes[big], ne[big]], axis=1), axis=0,
-                return_counts=True)
-            for (sv, se), c in zip(keys, cnts):
-                tally.taxonomy.add(f"large_{int(sv)}v_{int(se)}e", int(c))
-        small = rest[sizes[rest] <= SMALL_COMPONENT_MAX]
-        if small.size:
-            degs_flat = np.tile(deg, count)
-            for cid in small:
-                verts = np.nonzero(labels == cid)[0]
-                tally.taxonomy.add(
-                    classify_component(degs_flat[verts].tolist(), int(ne[cid])))
+    # classification: one exact key per component, each distinct key named
+    # once.  A small component's key is its degree multiset packed as
+    # per-degree counts, _COUNT_BITS bits per degree value (its degrees are
+    # below SMALL_COMPONENT_MAX and each count at most SMALL_COMPONENT_MAX);
+    # a larger component's key is (vertices << 32) | edges.
+    deg = np.minimum(np.asarray(seq.degrees, dtype=np.int64),
+                     SMALL_COMPONENT_MAX)
+    packed = np.bincount(labels,
+                         weights=np.tile(1 << (_COUNT_BITS * deg), count),
+                         minlength=ncomp).astype(np.int64)
+    keys = np.where(sizes <= SMALL_COMPONENT_MAX, packed, (sizes << 32) | ne)
+    for key, cnt in zip(*np.unique(keys, return_counts=True)):
+        key = int(key)
+        if key >> 32:
+            name = _large_name(key >> 32, key & 0xFFFFFFFF)
+        else:
+            degs = [d for d in range(SMALL_COMPONENT_MAX)
+                    for _ in range((key >> (_COUNT_BITS * d)) & _COUNT_MASK)]
+            name = classify_component(degs, sum(degs) // 2)
+        tally.taxonomy.add(name, int(cnt))
     return tally
+
+
+def sample_batch(seq: DegreeSequence, sampler: str, count: int,
+                 rng: np.random.Generator, steps: Optional[int] = None,
+                 max_attempts: int = DEFAULT_MAX_ATTEMPTS
+                 ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """`count` simple graphs from the named sampler ("rejection" or
+    "switch-chain") as (lo, hi, attempts): (count, m) endpoint arrays,
+    1-indexed with lo < hi, and the matchings drawn (the chain counts one
+    per graph)."""
+    if sampler == "rejection":
+        return rejection_sample_batch(seq, count, rng, max_attempts)
+    if sampler == "switch-chain":
+        codes = switch_chain_batch(seq, steps, count, rng)
+        return codes // (seq.n + 1), codes % (seq.n + 1), count
+    raise ValueError(f"unknown sampler {sampler!r}")
 
 
 def _census_batch_job(args) -> Tuple[int, _Tally]:
     (degrees, seed, index, count, sampler, steps, max_attempts,
      threshold) = args
     seq = DegreeSequence(degrees)
-    rng = substream(seed, index)
-    if sampler == "rejection":
-        lo, hi, attempts = rejection_sample_batch(seq, count, rng,
-                                                  max_attempts)
-    elif sampler == "switch-chain":
-        codes = switch_chain_batch(seq, steps, count, rng)
-        lo = (codes // (seq.n + 1)).astype(np.int64)
-        hi = (codes % (seq.n + 1)).astype(np.int64)
-        attempts = count
-    else:
-        raise ValueError(f"unknown sampler {sampler!r}")
+    lo, hi, attempts = sample_batch(seq, sampler, count,
+                                    substream(seed, index), steps,
+                                    max_attempts)
     tally = _batch_census(seq, lo, hi, threshold)
     tally.attempts = int(attempts)
     return index, tally

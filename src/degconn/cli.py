@@ -23,8 +23,7 @@ from .degseq import (DegreeSequence, compute_invariants, load_sequence_file,
 from .errors import DegconnError, InfeasibleFamily
 from .explore import explore, explore_matching
 from .graphs import SimpleGraph, matching_to_multigraph
-from .sampler import (default_chain_steps, random_matching,
-                      rejection_sample_batch, switch_chain_batch)
+from .sampler import default_chain_steps, random_matching
 from .streams import BATCH_SIZE, batch_ranges, substream
 
 SCHEMA_VERSION = census_mod.SCHEMA_VERSION
@@ -138,14 +137,9 @@ def _sample_batches(seq: DegreeSequence, args, sampler: str,
                     steps: Optional[int]):
     """Yield (lo, hi) int arrays per batch, deterministically."""
     for b, start, stop in batch_ranges(args.trials, BATCH_SIZE):
-        rng = substream(args.seed, b)
-        if sampler == "rejection":
-            lo, hi, _ = rejection_sample_batch(seq, stop - start, rng,
-                                               args.max_attempts)
-        else:
-            codes = switch_chain_batch(seq, steps, stop - start, rng)
-            lo = codes // (seq.n + 1)
-            hi = codes % (seq.n + 1)
+        lo, hi, _ = census_mod.sample_batch(seq, sampler, stop - start,
+                                            substream(args.seed, b), steps,
+                                            args.max_attempts)
         yield lo, hi
 
 
@@ -187,10 +181,7 @@ def cmd_explore(args) -> int:
                  for _ in range(k)]
     else:
         sampler = _resolve_sampler(args.sampler, seq)
-        steps = args.steps
-        if sampler == "switch-chain" and steps is None:
-            steps = default_chain_steps(seq.m)
-        lo, hi = next(iter(_sample_batches(seq, args, sampler, steps)))
+        lo, hi = next(iter(_sample_batches(seq, args, sampler, args.steps)))
         g = SimpleGraph(seq.n, list(zip(lo[0].tolist(), hi[0].tolist())))
         trace = explore(g, args.start)
         edges = [[u, v] for u, v in g.edges()]

@@ -54,6 +54,11 @@ class AttemptsExhausted(DegconnError):
         super().__init__(f"no simple graph after {attempts} attempts")
         self.attempts = attempts
 
+    def __reduce__(self):
+        # rebuild from the attempt count, not the formatted message, so the
+        # error survives pickling (e.g. out of a process-pool worker)
+        return type(self), (self.attempts,)
+
 
 class TooLarge(DegconnError):
     """Input exceeds an exact-enumeration guard."""

@@ -22,7 +22,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .degseq import DegreeSequence
-from .errors import AttemptsExhausted, InvalidSwitch, NotGraphical
+from .errors import (AttemptsExhausted, DegconnError, InvalidSwitch,
+                     NotGraphical)
 from .exact import conditional_edge_probability
 from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
                      matching_to_multigraph)
@@ -199,6 +200,14 @@ def default_chain_steps(m: int) -> int:
     return 20 * m * math.ceil(math.log(m))
 
 
+def _chain_steps(steps: Optional[int], m: int) -> int:
+    if steps is None:
+        return default_chain_steps(m)
+    if steps < 0:
+        raise DegconnError(f"switch-chain steps must be >= 0, got {steps}")
+    return steps
+
+
 def switch_chain_sample(seq: DegreeSequence, steps: Optional[int],
                         rng: np.random.Generator,
                         initial: Optional[SimpleGraph] = None) -> SimpleGraph:
@@ -207,14 +216,15 @@ def switch_chain_sample(seq: DegreeSequence, steps: Optional[int],
     Proposal per step (draw order): edge index i uniform in [0,m), second
     index j uniform in [0,m-1) shifted past i, orientation o uniform in
     [0,4) (bit 0 flips the first edge, bit 1 the second); invalid proposals
-    hold.  Starts from `initial` or the Havel-Hakimi seed.
+    hold.  Starts from `initial` or the Havel-Hakimi seed.  steps=None means
+    default_chain_steps(m); steps=0 returns the start state unchanged; a
+    negative count raises DegconnError.
     """
+    m = seq.m
+    steps = _chain_steps(steps, m)
     g = initial if initial is not None else havel_hakimi_construct(seq)
     if initial is not None and g.degree_vector() != list(seq.degrees):
         raise ValueError("initial graph does not realize the sequence")
-    m = seq.m
-    if steps is None:
-        steps = default_chain_steps(m)
     if m < 2 or steps == 0:
         return g
     edges = g.edges()
@@ -255,11 +265,12 @@ def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
     lo * (n+1) + hi, one row per final state.  Draw order per step: i block,
     j block, orientation block (matching switch_chain_sample per chain).
     Intended for tiny n (adjacency kept as a dense (chains, n^2) bool array).
+    steps=None means default_chain_steps(m); steps=0 returns the start state
+    in every row; a negative count raises DegconnError.
     """
-    g = initial if initial is not None else havel_hakimi_construct(seq)
     n, m = seq.n, seq.m
-    if steps is None:
-        steps = default_chain_steps(m)
+    steps = _chain_steps(steps, m)
+    g = initial if initial is not None else havel_hakimi_construct(seq)
     base = np.array([(u, v) for u, v in g.edges()], dtype=np.int32)
     E = np.broadcast_to(base, (chains, m, 2)).copy()
     if m < 2 or steps == 0:

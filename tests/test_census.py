@@ -34,6 +34,9 @@ def test_classify_component_named_classes():
     # star K_{1,3}: a tree but with 3 leaves, so not a path
     assert classify_component([1, 1, 1, 3], 3) == "other_small_1113"
     assert classify_component([1] * 6 + [6], 6) == "large_7v_6e"
+    # paths and cycles are named only up to 6 vertices
+    assert classify_component([1, 2, 2, 2, 2, 2, 1], 6) == "large_7v_6e"
+    assert classify_component([2] * 7, 7) == "large_7v_7e"
 
 
 def test_named_signatures_match_small_graph_atlas():
@@ -100,6 +103,19 @@ def test_oracle_frozen_values():
     assert o4.taxonomy_means() == {"edge": Fraction(2)}
     assert exact_connectivity_oracle(
         DegreeSequence([3, 3, 3, 3])).probability_connected == 1
+
+
+@pytest.mark.parametrize("degrees,whole", [
+    ([2] * 7, "large_7v_7e"),
+    ([1, 1, 2, 2, 2, 2, 2], "large_7v_6e"),
+])
+def test_oracle_and_census_share_component_keys(degrees, whole):
+    seq = DegreeSequence(degrees)
+    oracle_keys = set(exact_connectivity_oracle(seq).taxonomy_totals.counts)
+    census = estimate_disconnection(seq, 4000, seed=17)
+    census_keys = set(census.taxonomy.counts)
+    assert oracle_keys == census_keys
+    assert whole in census_keys
 
 
 def test_oracle_guards():

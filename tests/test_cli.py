@@ -101,6 +101,13 @@ def test_sample_exhaustion_exits_3(capsys):
     assert "attempts" in err
 
 
+def test_negative_chain_steps_exit_nonzero(capsys):
+    code, out, err = run(capsys, "census", "--family", "regular:d=2,n=8",
+                         "--sampler", "switch-chain", "--steps", "-3")
+    assert code == 1
+    assert out == "" and "steps" in err
+
+
 def test_error_json_contract(capsys):
     code, out, err = run(capsys, "oracle", "--seq", " ".join(["2"] * 11),
                          "--error-json")

@@ -1,14 +1,15 @@
 """Samplers: uniform matchings, rejection, Havel-Hakimi, switching chains,
 and the conditional edge-probability oracle."""
 
+import pickle
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from degconn import (AttemptsExhausted, DegreeSequence, InvalidSwitch,
-                     Matching, NotGraphical, SimpleGraph,
+from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
+                     InvalidSwitch, Matching, NotGraphical, SimpleGraph,
                      conditional_edge_probability_oracle, default_chain_steps,
                      havel_hakimi_construct, random_matching,
                      rejection_sample, rejection_sample_batch,
@@ -52,6 +53,13 @@ def test_rejection_exhausts_on_infeasible_even_sum():
         rejection_sample(seq, substream(0, 0), max_attempts=300)
     with pytest.raises(AttemptsExhausted):
         rejection_sample_batch(seq, 2, substream(0, 0), max_attempts=300)
+
+
+def test_attempts_exhausted_survives_pickling():
+    err = pickle.loads(pickle.dumps(AttemptsExhausted(5)))
+    assert isinstance(err, AttemptsExhausted)
+    assert str(err) == "no simple graph after 5 attempts"
+    assert err.attempts == 5 and err.exit_code == 3
 
 
 def test_rejection_scalar_uniform_over_c4_labelings():
@@ -175,6 +183,18 @@ def test_switch_chain_accepts_initial_graph():
     with pytest.raises(ValueError):
         switch_chain_sample(seq, 0, substream(0, 0),
                             initial=SimpleGraph(4, [(1, 2), (3, 4)]))
+
+
+def test_switch_chain_rejects_negative_steps():
+    seq = DegreeSequence([2, 2, 2, 2])
+    with pytest.raises(DegconnError, match="steps"):
+        switch_chain_sample(seq, -1, substream(0, 0))
+    with pytest.raises(DegconnError, match="steps"):
+        switch_chain_batch(seq, -3, 4, substream(0, 0))
+    # zero steps is the Havel-Hakimi start state in every row
+    start = havel_hakimi_construct(seq)
+    codes = switch_chain_batch(seq, 0, 3, substream(0, 0))
+    assert (codes == [u * 5 + v for u, v in start.edges()]).all()
 
 
 def test_switch_chain_batch_rows_realize_sequence():
