@@ -19,8 +19,7 @@ from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
                      half_edge, half_edge_owner, matching_to_multigraph)
 from .sampler import (conditional_edge_probability_oracle,
                       default_chain_steps, havel_hakimi_construct,
-                      random_matching, rejection_sample,
-                      rejection_sample_batch, switch_chain_sample, switching)
+                      random_matching, rejection_sample_batch, switching)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,6 @@ __all__ = [
     "exact_connectivity_oracle", "explore", "explore_components",
     "explore_matching", "explore_revealing", "half_edge", "half_edge_owner",
     "havel_hakimi_construct", "matching_to_multigraph", "random_matching",
-    "rejection_sample", "rejection_sample_batch", "switch_chain_sample",
-    "switching", "theorem1_bound", "tightness_experiment",
-    "truncated_increment", "validate_sequence",
+    "rejection_sample_batch", "switching", "theorem1_bound",
+    "tightness_experiment", "truncated_increment", "validate_sequence",
 ]

@@ -36,7 +36,7 @@ from .degseq import (DegreeSequence, InvariantSet, compute_invariants,
 from .errors import TooLarge, TrialsTooFew
 from .exact import enumerate_realizations, iter_matching_extensions
 from .graphs import Matching, SimpleGraph, half_edge_owner
-from .sampler import (DEFAULT_MAX_ATTEMPTS, default_chain_steps,
+from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps,
                       rejection_sample_batch, switch_chain_batch)
 from .streams import BATCH_SIZE, batch_ranges, substream
 
@@ -336,7 +336,9 @@ def sample_batch(seq: DegreeSequence, sampler: str, count: int,
     """`count` simple graphs from the named sampler ("rejection" or
     "switch-chain") as (lo, hi, attempts): (count, m) endpoint arrays,
     1-indexed with lo < hi, and the matchings drawn (the chain counts one
-    per graph)."""
+    per graph).  A single graph is a batch of one.  Only the chain reads
+    `steps`, but a negative count raises DegconnError for either sampler."""
+    steps = chain_steps(steps, seq.m)
     if sampler == "rejection":
         return rejection_sample_batch(seq, count, rng, max_attempts)
     if sampler == "switch-chain":
@@ -440,8 +442,7 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
     validate_sequence(seq.degrees)
     if trials < 1:
         raise TrialsTooFew("trials must be >= 1")
-    if sampler == "switch-chain" and steps is None:
-        steps = default_chain_steps(seq.m)
+    steps = chain_steps(steps, seq.m)
     threshold = large_component_threshold(seq.m)
     jobs = [(tuple(seq.degrees), seed, b, stop - start, sampler, steps,
              max_attempts, threshold)

@@ -21,9 +21,8 @@ from . import families
 from .degseq import (DegreeSequence, compute_invariants, load_sequence_file,
                      parse_sequence_text, theorem1_bound)
 from .errors import DegconnError, InfeasibleFamily
-from .explore import explore, explore_matching
-from .graphs import SimpleGraph, matching_to_multigraph
-from .sampler import default_chain_steps, random_matching
+from .explore import explore_revealing
+from .sampler import default_chain_steps
 from .streams import BATCH_SIZE, batch_ranges, substream
 
 SCHEMA_VERSION = census_mod.SCHEMA_VERSION
@@ -133,16 +132,6 @@ def cmd_check(args) -> int:
     return 0 if seq.graphical else 2
 
 
-def _sample_batches(seq: DegreeSequence, args, sampler: str,
-                    steps: Optional[int]):
-    """Yield (lo, hi) int arrays per batch, deterministically."""
-    for b, start, stop in batch_ranges(args.trials, BATCH_SIZE):
-        lo, hi, _ = census_mod.sample_batch(seq, sampler, stop - start,
-                                            substream(args.seed, b), steps,
-                                            args.max_attempts)
-        yield lo, hi
-
-
 def cmd_sample(args) -> int:
     seq = _resolve_sequence(args)
     sampler = _resolve_sampler(args.sampler, seq)
@@ -150,7 +139,10 @@ def cmd_sample(args) -> int:
     if sampler == "switch-chain" and steps is None:
         steps = default_chain_steps(seq.m)
     graphs: List[List[List[int]]] = []
-    for lo, hi in _sample_batches(seq, args, sampler, steps):
+    for b, start, stop in batch_ranges(args.trials, BATCH_SIZE):
+        lo, hi, _ = census_mod.sample_batch(seq, sampler, stop - start,
+                                            substream(args.seed, b), steps,
+                                            args.max_attempts)
         for r in range(lo.shape[0]):
             graphs.append([[int(a), int(b)]
                            for a, b in zip(lo[r], hi[r])])
@@ -172,19 +164,10 @@ def cmd_sample(args) -> int:
 
 def cmd_explore(args) -> int:
     seq = _resolve_sequence(args)
-    rng = substream(args.seed, 0)
-    if args.mode == "multigraph":
-        matching = random_matching(seq, rng)
-        trace = explore_matching(seq, matching, args.start)
-        graph = matching_to_multigraph(seq, matching)
-        edges = [[u, v] for (u, v), k in sorted(graph.edge_counts.items())
-                 for _ in range(k)]
-    else:
-        sampler = _resolve_sampler(args.sampler, seq)
-        lo, hi = next(iter(_sample_batches(seq, args, sampler, args.steps)))
-        g = SimpleGraph(seq.n, list(zip(lo[0].tolist(), hi[0].tolist())))
-        trace = explore(g, args.start)
-        edges = [[u, v] for u, v in g.edges()]
+    trace, graph = explore_revealing(
+        seq, substream(args.seed, 0), args.start, mode=args.mode,
+        sampler=_resolve_sampler(args.sampler, seq),
+        max_attempts=args.max_attempts, steps=args.steps)
     if args.format == "csv":
         _emit(args, trace.to_csv_text())
     else:
@@ -192,7 +175,8 @@ def cmd_explore(args) -> int:
             "config": _config_dict(args, "explore", seq, mode=args.mode,
                                    start=args.start),
             "trace": trace.to_json_dict(),
-            "graph": {"n": seq.n, "edges": edges},
+            "graph": {"n": seq.n,
+                      "edges": [[u, v] for u, v in graph.edges()]},
         }
         _emit(args, _dump_json(payload))
     return 0
@@ -270,16 +254,21 @@ def build_parser() -> _Parser:
                      help="named family, e.g. regular:d=3,n=10 "
                           "(regular, with-leaves, with-twos, two-stars, star)")
 
-    run_flags = argparse.ArgumentParser(add_help=False)
-    run_flags.add_argument("--trials", type=int, default=1000)
-    run_flags.add_argument("--seed", type=int, default=0)
-    run_flags.add_argument("--sampler",
-                           choices=["rejection", "switch-chain", "auto"],
-                           default="auto")
-    run_flags.add_argument("--steps", type=int, default=None,
-                           help="switch-chain step override")
-    run_flags.add_argument("--threads", type=int, default=1)
-    run_flags.add_argument("--max-attempts", type=int, default=10**6)
+    # each subcommand takes only the run flags its handler reads
+    run_flags = {
+        "--trials": dict(type=int, default=1000),
+        "--seed": dict(type=int, default=0),
+        "--sampler": dict(choices=["rejection", "switch-chain", "auto"],
+                          default="auto"),
+        "--steps": dict(type=int, default=None,
+                        help="switch-chain step override"),
+        "--threads": dict(type=int, default=1),
+        "--max-attempts": dict(type=int, default=10**6),
+    }
+
+    def add_run_flags(p, *names):
+        for name in names:
+            p.add_argument(name, **run_flags[name])
 
     out_flags = argparse.ArgumentParser(add_help=False)
     out_flags.add_argument("--out", help="write the report to this file")
@@ -295,21 +284,25 @@ def build_parser() -> _Parser:
 
     sub.add_parser("check", parents=[seq_flags, out_flags],
                    help="graphicality and invariant report")
-    p = sub.add_parser("sample", parents=[seq_flags, run_flags, out_flags],
+    p = sub.add_parser("sample", parents=[seq_flags, out_flags],
                        help="draw uniform simple graphs")
+    add_run_flags(p, "--trials", "--seed", "--sampler", "--steps",
+                  "--max-attempts")
     p.set_defaults(trials=1)
-    p = sub.add_parser("explore", parents=[seq_flags, run_flags, out_flags],
+    p = sub.add_parser("explore", parents=[seq_flags, out_flags],
                        help="run one instrumented exploration")
-    p.set_defaults(trials=1)
+    add_run_flags(p, "--seed", "--sampler", "--steps", "--max-attempts")
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--mode", choices=["simple-conditioned", "multigraph"],
                    default="simple-conditioned")
-    sub.add_parser("census", parents=[seq_flags, run_flags, out_flags],
-                   help="Monte Carlo disconnection census")
+    p = sub.add_parser("census", parents=[seq_flags, out_flags],
+                       help="Monte Carlo disconnection census")
+    add_run_flags(p, *run_flags)
     sub.add_parser("oracle", parents=[seq_flags, out_flags],
                    help="exact small-sequence connectivity oracle")
-    p = sub.add_parser("tightness", parents=[seq_flags, run_flags, out_flags],
+    p = sub.add_parser("tightness", parents=[seq_flags, out_flags],
                        help="small-component means vs bounds across a family")
+    add_run_flags(p, "--trials", "--seed", "--sampler", "--threads")
     p.add_argument("--sizes", default="60,120,240",
                    help="comma-separated family size parameters")
     return parser

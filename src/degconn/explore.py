@@ -21,14 +21,15 @@ import csv
 import heapq
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .census import sample_batch
 from .degseq import DegreeSequence
 from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
-from .sampler import random_matching, rejection_sample, switch_chain_sample
+from .sampler import DEFAULT_MAX_ATTEMPTS, random_matching
 
 # X* truncation parameters; kept as named constants so experiments can vary
 # them through truncated_increment's keyword arguments.
@@ -100,6 +101,14 @@ class ExplorationTrace:
         }
 
 
+def _x_star(d_i: int, dx: int, cutoff: float,
+            big_step_fraction: float = BIG_STEP_FRACTION):
+    """The X* formula shared by truncated_increment and the walk."""
+    if d_i < cutoff:
+        return min(3 * d_i, dx)
+    return big_step_fraction * d_i
+
+
 def truncated_increment(record: IterationRecord, m: int,
                         big_step_fraction: float = BIG_STEP_FRACTION,
                         cutoff: Optional[float] = None):
@@ -107,9 +116,8 @@ def truncated_increment(record: IterationRecord, m: int,
     cutoff sqrt(m)/(ln m)^2, else big_step_fraction * d_i.  Padded post-death
     records (d_i = 0) evaluate to 0."""
     thr = small_degree_cutoff(m) if cutoff is None else cutoff
-    if record.d_i < thr:
-        return min(3 * record.d_i, record.X - record.x_prev)
-    return big_step_fraction * record.d_i
+    return _x_star(record.d_i, record.X - record.x_prev, thr,
+                   big_step_fraction)
 
 
 class _Walk:
@@ -125,6 +133,7 @@ class _Walk:
         heapq.heappush(self.heap, (start_degree, start))
         self.records: List[IterationRecord] = []
         self.m = m
+        self.cutoff = small_degree_cutoff(m)
         self.start = start
 
     def select(self) -> int:
@@ -142,10 +151,10 @@ class _Walk:
 
     def finish(self, i: int, v: int, d_i: int, x_prev: int, J: int, K: int,
                L: int, newv: List[Tuple[int, int]]) -> None:
-        rec = IterationRecord(i=i, v=v, d_i=d_i, J=J, K=K, L=L,
-                              X=self.X, x_prev=x_prev, X_star=0,
-                              new_vertices=tuple(newv))
-        self.records.append(replace(rec, X_star=truncated_increment(rec, self.m)))
+        self.records.append(IterationRecord(
+            i=i, v=v, d_i=d_i, J=J, K=K, L=L, X=self.X, x_prev=x_prev,
+            X_star=_x_star(d_i, self.X - x_prev, self.cutoff),
+            new_vertices=tuple(newv)))
 
     def trace(self) -> ExplorationTrace:
         component = frozenset(v for v in range(len(self.in_tree))
@@ -255,27 +264,25 @@ def explore_matching(seq: DegreeSequence, matching: Matching,
 def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
                       start: int, mode: str = "multigraph",
                       sampler: str = "rejection",
-                      max_attempts: int = 10**6,
+                      max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                       steps: Optional[int] = None):
     """Sample-and-replay exploration.
 
     multigraph mode: draws a uniform perfect matching and replays it — each
     open half-edge's revealed partner is thereby uniform over the unmatched
-    ones, the pure configuration model.  simple-conditioned mode: samples a
-    uniform simple graph (rejection or switch chain) and replays explore.
-    Returns (trace, realized graph).
+    ones, the pure configuration model.  Draw order: one random_matching.
+    simple-conditioned mode: samples a uniform simple graph and replays
+    explore.  Draw order: one census.sample_batch(seq, sampler, 1, rng,
+    steps, max_attempts) call, so the graph is row 0 of that sampler's batch
+    of one.  Returns (trace, realized graph).
     """
     if mode == "multigraph":
         matching = random_matching(seq, rng)
         trace = explore_matching(seq, matching, start)
         return trace, matching_to_multigraph(seq, matching)
     if mode == "simple-conditioned":
-        if sampler == "rejection":
-            g, _ = rejection_sample(seq, rng, max_attempts)
-        elif sampler == "switch-chain":
-            g = switch_chain_sample(seq, steps, rng)
-        else:
-            raise ValueError(f"unknown sampler {sampler!r}")
+        lo, hi, _ = sample_batch(seq, sampler, 1, rng, steps, max_attempts)
+        g = SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))
         return explore(g, start), g
     raise ValueError(f"unknown mode {mode!r}")
 

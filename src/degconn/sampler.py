@@ -1,16 +1,17 @@
 """Uniform simple-graph samplers for a fixed degree sequence.
 
-Two routes:
-  * configuration-model rejection: draw uniform perfect matchings on half-edges
-    until the multigraph is simple.  Each simple graph corresponds to exactly
-    prod d(i)! matchings, so acceptance is exactly uniform.
-  * edge-switching Markov chain: lazy chain whose moves replace edges xy, uv
-    by xv, uy; the proposal kernel is symmetric and the state space connected,
-    so the stationary law is uniform.
+Two routes, each implemented once and vectorized over a batch:
+  * configuration-model rejection (rejection_sample_batch): draw uniform
+    perfect matchings on half-edges until the multigraph is simple.  Each
+    simple graph corresponds to exactly prod d(i)! matchings, so acceptance
+    is exactly uniform.
+  * edge-switching Markov chain (switch_chain_batch): lazy chain whose moves
+    replace edges xy, uv by xv, uy; the proposal kernel is symmetric and the
+    state space connected, so the stationary law is uniform.
 
-Batch variants (rejection_sample_batch, switch_chain_batch) drive the
-Monte Carlo hot paths; they draw from a single generator in a documented
-order and return plain edge arrays.
+Both draw from a single generator in a documented order and return plain
+edge arrays.  census.sample_batch picks between them; a single graph is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
                      matching_to_multigraph)
 
 DEFAULT_MAX_ATTEMPTS = 10**6
+# A rejection block holds at most this many half-edge slots (rows * 2m), so
+# its memory stays bounded whatever m is.  Rows are consecutive slices of
+# one float stream, so the block size never changes the rows or attempts
+# returned, only how far the generator has advanced when the call returns.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 def owner_array(seq: DegreeSequence) -> np.ndarray:
@@ -50,34 +56,6 @@ def random_matching(seq: DegreeSequence, rng: np.random.Generator) -> Matching:
     return Matching(partner)
 
 
-def rejection_sample(seq: DegreeSequence, rng: np.random.Generator,
-                     max_attempts: int = DEFAULT_MAX_ATTEMPTS
-                     ) -> Tuple[SimpleGraph, int]:
-    """Sample a uniform simple graph by configuration-model rejection.
-
-    Returns (graph, attempts used).  Raises AttemptsExhausted when the budget
-    runs out (dense or non-graphical sequences); callers wanting a fallback
-    should switch to switch_chain_sample explicitly.
-    """
-    owners = owner_array(seq)
-    two_m = 2 * seq.m
-    n = seq.n
-    for attempt in range(1, max_attempts + 1):
-        perm = rng.permutation(two_m)
-        o = owners[perm]
-        u = o[0::2]
-        v = o[1::2]
-        if (u == v).any():
-            continue
-        lo = np.minimum(u, v).astype(np.int64)
-        hi = np.maximum(u, v).astype(np.int64)
-        codes = np.sort(lo * (n + 1) + hi)
-        if seq.m > 1 and (np.diff(codes) == 0).any():
-            continue
-        return SimpleGraph(n, list(zip(lo.tolist(), hi.tolist()))), attempt
-    raise AttemptsExhausted(max_attempts)
-
-
 def rejection_sample_batch(seq: DegreeSequence, count: int,
                            rng: np.random.Generator,
                            max_attempts: int = DEFAULT_MAX_ATTEMPTS
@@ -89,7 +67,8 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
     matchings inspected through the one yielding the count-th acceptance.
     Draw order: repeated blocks of uniform (rows, 2m) floats, one row per
     attempted matching (argsort of each row is the permutation); block sizes
-    adapt to the observed acceptance rate.  Raises AttemptsExhausted once
+    adapt to the observed acceptance rate and hold at most _BLOCK_ELEMENTS
+    floats (at least one row).  Raises AttemptsExhausted once
     max_attempts matchings have been drawn without filling the request.
     """
     owners = owner_array(seq)
@@ -107,7 +86,8 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
             rows = int((count - got) / acceptance * 1.25) + 16
         else:
             rows = count + count // 2 + 16
-        rows = min(max(rows, 64), 65536, max_attempts - drawn)
+        rows = min(max(rows, 64), max(1, _BLOCK_ELEMENTS // two_m),
+                   max_attempts - drawn)
         perm = np.argsort(rng.random((rows, two_m)), axis=1)
         drawn += rows
         o = owners[perm]
@@ -200,60 +180,14 @@ def default_chain_steps(m: int) -> int:
     return 20 * m * math.ceil(math.log(m))
 
 
-def _chain_steps(steps: Optional[int], m: int) -> int:
+def chain_steps(steps: Optional[int], m: int) -> int:
+    """Switch-chain step count: default_chain_steps(m) for None; a negative
+    count raises DegconnError."""
     if steps is None:
         return default_chain_steps(m)
     if steps < 0:
         raise DegconnError(f"switch-chain steps must be >= 0, got {steps}")
     return steps
-
-
-def switch_chain_sample(seq: DegreeSequence, steps: Optional[int],
-                        rng: np.random.Generator,
-                        initial: Optional[SimpleGraph] = None) -> SimpleGraph:
-    """Run the lazy switch chain and return the final state.
-
-    Proposal per step (draw order): edge index i uniform in [0,m), second
-    index j uniform in [0,m-1) shifted past i, orientation o uniform in
-    [0,4) (bit 0 flips the first edge, bit 1 the second); invalid proposals
-    hold.  Starts from `initial` or the Havel-Hakimi seed.  steps=None means
-    default_chain_steps(m); steps=0 returns the start state unchanged; a
-    negative count raises DegconnError.
-    """
-    m = seq.m
-    steps = _chain_steps(steps, m)
-    g = initial if initial is not None else havel_hakimi_construct(seq)
-    if initial is not None and g.degree_vector() != list(seq.degrees):
-        raise ValueError("initial graph does not realize the sequence")
-    if m < 2 or steps == 0:
-        return g
-    edges = g.edges()
-    adj = {e for e in edges}
-    for _ in range(steps):
-        i = int(rng.integers(m))
-        j = int(rng.integers(m - 1))
-        if j >= i:
-            j += 1
-        o = int(rng.integers(4))
-        x, y = edges[i]
-        if o & 1:
-            x, y = y, x
-        u, v = edges[j]
-        if o & 2:
-            u, v = v, u
-        if x == v or u == y:
-            continue
-        xv = (min(x, v), max(x, v))
-        uy = (min(u, y), max(u, y))
-        if xv in adj or uy in adj:
-            continue
-        adj.discard((min(x, y), max(x, y)))
-        adj.discard((min(u, v), max(u, v)))
-        adj.add(xv)
-        adj.add(uy)
-        edges[i] = xv
-        edges[j] = uy
-    return SimpleGraph(seq.n, sorted(adj))
 
 
 def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
@@ -262,15 +196,21 @@ def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
     """Run `chains` independent switch chains in lockstep (vectorized).
 
     Returns a (chains, m) int64 array of code-sorted edge codes
-    lo * (n+1) + hi, one row per final state.  Draw order per step: i block,
-    j block, orientation block (matching switch_chain_sample per chain).
-    Intended for tiny n (adjacency kept as a dense (chains, n^2) bool array).
+    lo * (n+1) + hi, one row per final state.  Every chain starts from
+    `initial` (ValueError unless it realizes the sequence) or from the
+    Havel-Hakimi seed.  Draw order per step: a block of `chains` edge indices
+    i uniform in [0,m), a block of second indices j uniform in [0,m-1)
+    shifted past i, a block of orientations o uniform in [0,4) (bit 0 flips
+    the first edge, bit 1 the second); invalid proposals hold.  Intended for
+    tiny n (adjacency kept as a dense (chains, n^2) bool array).
     steps=None means default_chain_steps(m); steps=0 returns the start state
     in every row; a negative count raises DegconnError.
     """
     n, m = seq.n, seq.m
-    steps = _chain_steps(steps, m)
+    steps = chain_steps(steps, m)
     g = initial if initial is not None else havel_hakimi_construct(seq)
+    if initial is not None and g.degree_vector() != list(seq.degrees):
+        raise ValueError("initial graph does not realize the sequence")
     base = np.array([(u, v) for u, v in g.edges()], dtype=np.int32)
     E = np.broadcast_to(base, (chains, m, 2)).copy()
     if m < 2 or steps == 0:
@@ -327,8 +267,8 @@ def conditional_edge_probability_oracle(seq: DegreeSequence, partial: Matching,
 
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS", "owner_array", "random_matching",
-    "rejection_sample", "rejection_sample_batch", "havel_hakimi_construct",
-    "switching", "default_chain_steps", "switch_chain_sample",
-    "switch_chain_batch", "conditional_edge_probability_oracle",
+    "rejection_sample_batch", "havel_hakimi_construct", "switching",
+    "default_chain_steps", "chain_steps", "switch_chain_batch",
+    "conditional_edge_probability_oracle",
     "Matching", "MultiGraph", "SimpleGraph", "matching_to_multigraph",
 ]

@@ -108,6 +108,25 @@ def test_negative_chain_steps_exit_nonzero(capsys):
     assert out == "" and "steps" in err
 
 
+def test_negative_steps_exit_1_with_rejection(capsys):
+    # --steps is read by the chain only, but a negative count is refused
+    # whatever the sampler
+    for cmd in ("census", "sample", "explore"):
+        code, out, err = run(capsys, cmd, "--seq", "2 2 2 2",
+                             "--sampler", "rejection", "--steps", "-3")
+        assert code == 1, cmd
+        assert out == "" and "steps" in err
+
+
+def test_subcommands_refuse_flags_they_do_not_read(capsys):
+    for argv in (["explore", "--trials", "3"], ["explore", "--threads", "2"],
+                 ["sample", "--threads", "2"], ["tightness", "--steps", "5"],
+                 ["tightness", "--max-attempts", "5"]):
+        code, out, err = run(capsys, *argv, "--family", "regular:d=3,n=10")
+        assert code == 1, argv
+        assert out == "" and "usage error" in err
+
+
 def test_error_json_contract(capsys):
     code, out, err = run(capsys, "oracle", "--seq", " ".join(["2"] * 11),
                          "--error-json")

@@ -10,8 +10,8 @@ import pytest
 from degconn import (DegreeSequence, Matching, SimpleGraph, check_trace,
                      connected_components, explore, explore_components,
                      explore_matching, explore_revealing,
-                     havel_hakimi_construct, rejection_sample,
-                     truncated_increment)
+                     havel_hakimi_construct, truncated_increment)
+from degconn.census import sample_batch
 from degconn.exact import iter_matching_extensions
 from degconn.explore import small_degree_cutoff
 from degconn.families import regular, with_leaves
@@ -137,7 +137,8 @@ def test_component_matches_union_find():
     rng = substream(42, 0)
     for seq in (regular(3, 8), with_leaves(4, 3, 24), DegreeSequence([1, 1, 2, 2])):
         for _ in range(5):
-            g, _ = rejection_sample(seq, rng)
+            lo, hi, _ = sample_batch(seq, "rejection", 1, rng)
+            g = SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))
             comps = connected_components(g)
             by_vertex = {}
             for comp in comps:
@@ -213,6 +214,16 @@ def test_simple_conditioned_switch_chain_path():
                                  sampler="switch-chain", steps=40)
     assert g.degree_vector() == [2, 2, 2, 2]
     assert trace == explore(g, 2)
+
+
+@pytest.mark.parametrize("sampler", ["rejection", "switch-chain"])
+def test_simple_conditioned_draws_one_batch_row(sampler):
+    # draw order: one sample_batch call with count 1
+    seq = with_leaves(4, 3, 24)
+    _, g = explore_revealing(seq, substream(8, 0), 1,
+                             mode="simple-conditioned", sampler=sampler)
+    lo, hi, _ = sample_batch(seq, sampler, 1, substream(8, 0))
+    assert g.edges() == list(zip(lo[0].tolist(), hi[0].tolist()))
 
 
 def test_explore_errors():

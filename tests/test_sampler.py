@@ -12,8 +12,8 @@ from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
                      InvalidSwitch, Matching, NotGraphical, SimpleGraph,
                      conditional_edge_probability_oracle, default_chain_steps,
                      havel_hakimi_construct, random_matching,
-                     rejection_sample, rejection_sample_batch,
-                     switch_chain_sample, switching)
+                     rejection_sample_batch, switching)
+from degconn.census import sample_batch
 from degconn.errors import NotExtendable, TooLarge
 from degconn.sampler import switch_chain_batch
 from degconn.streams import substream
@@ -40,17 +40,24 @@ def test_random_matching_is_valid():
     assert m.is_full
 
 
+def one_graph(seq, lo, hi):
+    assert lo.shape == hi.shape == (1, seq.m)
+    return SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))
+
+
 def test_rejection_sample_forced_triangle():
     seq = DegreeSequence([2, 2, 2])
-    g, attempts = rejection_sample(seq, substream(7, 0))
-    assert g.edges() == [(1, 2), (1, 3), (2, 3)]
-    assert attempts >= 1
+    rng = substream(7, 0)
+    for _ in range(5):
+        lo, hi, attempts = sample_batch(seq, "rejection", 1, rng)
+        assert one_graph(seq, lo, hi).edges() == [(1, 2), (1, 3), (2, 3)]
+        assert attempts >= 1
 
 
 def test_rejection_exhausts_on_infeasible_even_sum():
     seq = DegreeSequence([2, 2])  # only loops or a double edge exist
     with pytest.raises(AttemptsExhausted):
-        rejection_sample(seq, substream(0, 0), max_attempts=300)
+        sample_batch(seq, "rejection", 1, substream(0, 0), max_attempts=300)
     with pytest.raises(AttemptsExhausted):
         rejection_sample_batch(seq, 2, substream(0, 0), max_attempts=300)
 
@@ -69,8 +76,8 @@ def test_rejection_scalar_uniform_over_c4_labelings():
     counts = Counter()
     trials = 6000
     for _ in range(trials):
-        g, _ = rejection_sample(seq, rng)
-        counts[tuple(g.edges())] += 1
+        lo, hi, _ = sample_batch(seq, "rejection", 1, rng)
+        counts[tuple(one_graph(seq, lo, hi).edges())] += 1
     assert len(counts) == 3
     for c in counts.values():
         assert abs(c / trials - 1 / 3) < 0.03
@@ -163,8 +170,8 @@ def test_switch_chain_uniform_on_perfect_matchings():
     counts = Counter()
     trials = 5000
     for _ in range(trials):
-        g = switch_chain_sample(seq, 40, rng)
-        counts[tuple(g.edges())] += 1
+        lo, hi, _ = sample_batch(seq, "switch-chain", 1, rng, steps=40)
+        counts[tuple(one_graph(seq, lo, hi).edges())] += 1
     assert len(counts) == 3
     tv = sum(abs(c / trials - 1 / 3) for c in counts.values()) / 2
     assert tv < 0.04
@@ -172,25 +179,33 @@ def test_switch_chain_uniform_on_perfect_matchings():
 
 def test_switch_chain_rejects_nongraphical():
     with pytest.raises(NotGraphical):
-        switch_chain_sample(DegreeSequence([3, 1]), 10, substream(0, 0))
+        sample_batch(DegreeSequence([3, 1]), "switch-chain", 1,
+                     substream(0, 0), steps=10)
 
 
 def test_switch_chain_accepts_initial_graph():
     seq = DegreeSequence([2, 2, 2, 2])
     init = SimpleGraph(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
-    g = switch_chain_sample(seq, 0, substream(0, 0), initial=init)
-    assert g == init
+    codes = switch_chain_batch(seq, 0, 3, substream(0, 0), initial=init)
+    assert (codes == [u * 5 + v for u, v in init.edges()]).all()
     with pytest.raises(ValueError):
-        switch_chain_sample(seq, 0, substream(0, 0),
-                            initial=SimpleGraph(4, [(1, 2), (3, 4)]))
+        switch_chain_batch(seq, 0, 1, substream(0, 0),
+                           initial=SimpleGraph(4, [(1, 2), (3, 4)]))
+    # same edge count, degrees (3, 2, 2, 1)
+    with pytest.raises(ValueError):
+        switch_chain_batch(seq, 10, 2, substream(0, 0),
+                           initial=SimpleGraph(4, [(1, 2), (1, 3), (1, 4),
+                                                   (2, 3)]))
 
 
 def test_switch_chain_rejects_negative_steps():
     seq = DegreeSequence([2, 2, 2, 2])
     with pytest.raises(DegconnError, match="steps"):
-        switch_chain_sample(seq, -1, substream(0, 0))
-    with pytest.raises(DegconnError, match="steps"):
         switch_chain_batch(seq, -3, 4, substream(0, 0))
+    # the one sampler dispatch rejects it whatever the sampler
+    for sampler in ("switch-chain", "rejection"):
+        with pytest.raises(DegconnError, match="steps"):
+            sample_batch(seq, sampler, 1, substream(0, 0), steps=-1)
     # zero steps is the Havel-Hakimi start state in every row
     start = havel_hakimi_construct(seq)
     codes = switch_chain_batch(seq, 0, 3, substream(0, 0))
