@@ -20,6 +20,7 @@ results merge associatively and reproduce exactly at any thread count.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -437,7 +438,8 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
     """Monte Carlo disconnection estimate with full component taxonomy.
 
     Workers own whole batches (seeded by batch index) and tallies merge in
-    batch order, so the report is identical at any thread count.
+    batch order, so the report is identical at any thread count.  At most
+    min(threads, batches, CPUs) worker processes run; one means no pool.
     """
     validate_sequence(seq.degrees)
     if trials < 1:
@@ -447,8 +449,9 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
     jobs = [(tuple(seq.degrees), seed, b, stop - start, sampler, steps,
              max_attempts, threshold)
             for b, start, stop in batch_ranges(trials, batch_size)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    max_workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if max_workers > 1:
+        with ProcessPoolExecutor(max_workers=max_workers) as pool:
             results = list(pool.map(_census_batch_job, jobs, chunksize=1))
     else:
         results = [_census_batch_job(j) for j in jobs]

@@ -4,7 +4,8 @@ Subcommands: check, sample, explore, census, oracle, tightness.  All
 randomness derives from --seed through fixed-size batch streams (see
 streams.py), so any command with the same flags is byte-identical across
 runs and across --threads values.  Exit codes: 0 success, 1 usage, 2
-infeasible input, 3 sampler exhaustion, 4 oracle size guard.
+infeasible input, 3 sampler exhaustion, 4 size guard (exact oracle or
+switch-chain memory).
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ class AttemptsExhausted(DegconnError):
 
 
 class TooLarge(DegconnError):
-    """Input exceeds an exact-enumeration guard."""
+    """Input exceeds a size guard: exact enumeration or the switch chain's
+    adjacency memory."""
     exit_code = 4
 
 

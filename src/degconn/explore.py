@@ -29,7 +29,7 @@ import numpy as np
 from .census import sample_batch
 from .degseq import DegreeSequence
 from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
-from .sampler import DEFAULT_MAX_ATTEMPTS, random_matching
+from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps, random_matching
 
 # X* truncation parameters; kept as named constants so experiments can vary
 # them through truncated_increment's keyword arguments.
@@ -274,8 +274,10 @@ def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
     simple-conditioned mode: samples a uniform simple graph and replays
     explore.  Draw order: one census.sample_batch(seq, sampler, 1, rng,
     steps, max_attempts) call, so the graph is row 0 of that sampler's batch
-    of one.  Returns (trace, realized graph).
+    of one.  Returns (trace, realized graph).  A negative `steps` raises
+    DegconnError in either mode.
     """
+    steps = chain_steps(steps, seq.m)
     if mode == "multigraph":
         matching = random_matching(seq, rng)
         trace = explore_matching(seq, matching, start)

@@ -7,7 +7,11 @@ Two routes, each implemented once and vectorized over a batch:
     is exactly uniform.
   * edge-switching Markov chain (switch_chain_batch): lazy chain whose moves
     replace edges xy, uv by xv, uy; the proposal kernel is symmetric and the
-    state space connected, so the stationary law is uniform.
+    state space connected, so the stationary law is uniform.  The chains
+    run in lockstep on flat arrays (every chain's edge endpoints in one
+    array, every chain's dense adjacency in another), with the proposals
+    for a block of steps drawn in three generator calls; the adjacency
+    memory is capped by _ADJACENCY_BYTES (TooLarge above it).
 
 Both draw from a single generator in a documented order and return plain
 edge arrays.  census.sample_batch picks between them; a single graph is a
@@ -24,7 +28,7 @@ import numpy as np
 
 from .degseq import DegreeSequence
 from .errors import (AttemptsExhausted, DegconnError, InvalidSwitch,
-                     NotGraphical)
+                     NotGraphical, TooLarge)
 from .exact import conditional_edge_probability
 from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
                      matching_to_multigraph)
@@ -35,6 +39,14 @@ DEFAULT_MAX_ATTEMPTS = 10**6
 # one float stream, so the block size never changes the rows or attempts
 # returned, only how far the generator has advanced when the call returns.
 _BLOCK_ELEMENTS = 1 << 20
+# A switch-chain proposal block holds at most this many chain-steps
+# (steps * chains, at least one step), three int64 draws each.
+_PROPOSAL_ELEMENTS = 1 << 14
+# Largest dense switch-chain adjacency, chains * (n+1)^2 bool cells.
+_ADJACENCY_BYTES = 1 << 30
+# Row r of (x, y, u, v) paired with row _PARTNER[r]: the cells xy, yx, uv, vu
+# of the two edges a switch removes.
+_PARTNER = np.array([1, 0, 3, 2])
 
 
 def owner_array(seq: DegreeSequence) -> np.ndarray:
@@ -91,23 +103,24 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
         perm = np.argsort(rng.random((rows, two_m)), axis=1)
         drawn += rows
         o = owners[perm]
-        u = o[:, 0::2]
-        v = o[:, 1::2]
+        # rows with a loop are rejected before their edge codes are built
+        loop_free = np.flatnonzero(~(o[:, 0::2] == o[:, 1::2]).any(axis=1))
+        u = o[loop_free, 0::2]
+        v = o[loop_free, 1::2]
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
-        codes = np.sort(lo.astype(np.int64) * (n + 1) + hi, axis=1)
-        simple = ~(u == v).any(axis=1)
-        if m > 1:
-            simple &= ~(np.diff(codes, axis=1) == 0).any(axis=1)
-        idx = np.nonzero(simple)[0]
-        take = idx[: count - got]
+        codes = lo.astype(np.int64) * (n + 1) + hi
+        # one code order serves the duplicate test and the stored rows
+        order = np.argsort(codes, axis=1)
+        sorted_codes = np.take_along_axis(codes, order, axis=1)
+        simple = ~(np.diff(sorted_codes, axis=1) == 0).any(axis=1)
+        keep = np.flatnonzero(simple)[: count - got]
+        take = loop_free[keep]
         k = len(take)
         if k:
-            # store edges in code-sorted order for canonical rows
-            order = np.argsort(lo[take].astype(np.int64) * (n + 1) + hi[take],
-                               axis=1)
-            out_lo[got:got + k] = np.take_along_axis(lo[take], order, axis=1)
-            out_hi[got:got + k] = np.take_along_axis(hi[take], order, axis=1)
+            order = order[keep]
+            out_lo[got:got + k] = np.take_along_axis(lo[keep], order, axis=1)
+            out_hi[got:got + k] = np.take_along_axis(hi[keep], order, axis=1)
             got += k
         if got < count:
             attempts = drawn
@@ -198,63 +211,78 @@ def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
     Returns a (chains, m) int64 array of code-sorted edge codes
     lo * (n+1) + hi, one row per final state.  Every chain starts from
     `initial` (ValueError unless it realizes the sequence) or from the
-    Havel-Hakimi seed.  Draw order per step: a block of `chains` edge indices
-    i uniform in [0,m), a block of second indices j uniform in [0,m-1)
-    shifted past i, a block of orientations o uniform in [0,4) (bit 0 flips
-    the first edge, bit 1 the second); invalid proposals hold.  Intended for
-    tiny n (adjacency kept as a dense (chains, n^2) bool array).
+    Havel-Hakimi seed, with edge e stored as the endpoint pair
+    (lo, hi) of the seed's e-th edge in sorted order.
+
+    Draw order: the steps are cut into blocks of
+    k = max(1, _PROPOSAL_ELEMENTS // chains) steps, _PROPOSAL_ELEMENTS =
+    2**14 (the last block holds the remainder); each block draws a
+    (k, chains) array of edge indices i uniform in [0,m), then a (k, chains)
+    array of second indices j uniform in [0,m-1) shifted past i
+    (j += j >= i), then a (k, chains) array of orientations o uniform in
+    [0,4); row t of each array is step t of the block.  (x, y) is edge i's
+    stored pair, reversed when bit 0 of o is set; (u, v) is edge j's,
+    reversed when bit 1 is set.  A proposal is valid when x != v, u != y
+    and neither xv nor uy is an edge; then y's slot takes v and v's slot
+    takes y, so edge i is stored as (x, v) and edge j as (u, y).  Invalid
+    proposals hold.
+
+    Memory: a dense bool adjacency of chains * (n+1)^2 bytes; above
+    _ADJACENCY_BYTES the call raises TooLarge before allocating anything.
     steps=None means default_chain_steps(m); steps=0 returns the start state
     in every row; a negative count raises DegconnError.
     """
     n, m = seq.n, seq.m
     steps = chain_steps(steps, m)
+    side = n + 1
+    cells = side * side
+    if chains * cells > _ADJACENCY_BYTES:
+        raise TooLarge(f"switch chain adjacency for {chains} chains at n = "
+                       f"{n} needs {chains * cells} bytes, over the "
+                       f"{_ADJACENCY_BYTES}-byte limit")
     g = initial if initial is not None else havel_hakimi_construct(seq)
     if initial is not None and g.degree_vector() != list(seq.degrees):
         raise ValueError("initial graph does not realize the sequence")
-    base = np.array([(u, v) for u, v in g.edges()], dtype=np.int32)
-    E = np.broadcast_to(base, (chains, m, 2)).copy()
-    if m < 2 or steps == 0:
-        codes = E[:, :, 0].astype(np.int64) * (n + 1) + E[:, :, 1]
-        return np.sort(codes, axis=1)
-    side = n + 1
-    A = np.zeros((chains, side * side), dtype=bool)
-    rows = np.arange(chains)
-    for (u, v) in g.edges():
-        A[:, u * side + v] = True
-        A[:, v * side + u] = True
-    for _ in range(steps):
-        i = rng.integers(m, size=chains)
-        j = rng.integers(m - 1, size=chains)
-        j = j + (j >= i)
-        o = rng.integers(4, size=chains)
-        e1 = E[rows, i]
-        e2 = E[rows, j]
-        flip1 = (o & 1).astype(bool)
-        flip2 = (o & 2).astype(bool)
-        x = np.where(flip1, e1[:, 1], e1[:, 0])
-        y = np.where(flip1, e1[:, 0], e1[:, 1])
-        u = np.where(flip2, e2[:, 1], e2[:, 0])
-        v = np.where(flip2, e2[:, 0], e2[:, 1])
-        ok = (x != v) & (u != y)
-        ok &= ~A[rows, x * side + v]
-        ok &= ~A[rows, u * side + y]
-        w = np.nonzero(ok)[0]
-        if not len(w):
-            continue
-        xw, yw, uw, vw = x[w], y[w], u[w], v[w]
-        A[w, xw * side + yw] = False
-        A[w, yw * side + xw] = False
-        A[w, uw * side + vw] = False
-        A[w, vw * side + uw] = False
-        A[w, xw * side + vw] = True
-        A[w, vw * side + xw] = True
-        A[w, uw * side + yw] = True
-        A[w, yw * side + uw] = True
-        E[w, i[w], 0] = np.minimum(xw, vw)
-        E[w, i[w], 1] = np.maximum(xw, vw)
-        E[w, j[w], 0] = np.minimum(uw, yw)
-        E[w, j[w], 1] = np.maximum(uw, yw)
-    codes = E[:, :, 0].astype(np.int64) * side + E[:, :, 1]
+    edges = g.edges()
+    # ends[2 * (chain * m + e) + s]: endpoint s of edge e in that chain
+    ends = np.tile(np.array(edges, dtype=np.int64).ravel(), chains)
+    if m >= 2 and steps and chains:
+        # free[chain * cells + a * side + b]: ab is neither an edge nor a
+        # loop, so one lookup per new edge covers both validity conditions
+        free = np.ones(chains * cells, dtype=bool)
+        grid = free.reshape(chains, cells)
+        grid[:, np.arange(side) * (side + 1)] = False
+        for a, b in edges:
+            grid[:, [a * side + b, b * side + a]] = False
+        cell_base = np.arange(chains, dtype=np.int64) * cells
+        edge_base = np.arange(chains, dtype=np.int64) * (2 * m)
+        block = max(1, _PROPOSAL_ELEMENTS // chains)
+        for start in range(0, steps, block):
+            k = min(block, steps - start)
+            i = rng.integers(m, size=(k, chains))
+            j = rng.integers(m - 1, size=(k, chains))
+            j += j >= i
+            o = rng.integers(4, size=(k, chains))
+            # slots[t]: the positions in `ends` of x, y, u, v at step t
+            slots = np.empty((k, 4, chains), dtype=np.int64)
+            slots[:, 0] = 2 * i + (o & 1) + edge_base
+            slots[:, 1] = slots[:, 0] ^ 1
+            slots[:, 2] = 2 * j + (o >> 1) + edge_base
+            slots[:, 3] = slots[:, 2] ^ 1
+            for slot in slots:
+                p = ends[slot]
+                row = p * side + cell_base
+                ok = free[row[::2] + p[3::-2]]  # cells xv and uy
+                w = np.flatnonzero(ok[0] & ok[1])
+                if not len(w):
+                    continue
+                pw = p[:, w]
+                rw = row[:, w]
+                free[rw + pw[_PARTNER]] = True
+                free[rw + pw[::-1]] = False  # xv, yu, uy, vx
+                ends[slot[1::2, w]] = pw[3::-2]  # y's slot <- v, v's <- y
+    pairs = ends.reshape(chains, m, 2)
+    codes = pairs.min(axis=2) * side + pairs.max(axis=2)
     return np.sort(codes, axis=1)
 
 

@@ -10,7 +10,12 @@ Workers are assigned whole batches and per-batch tallies merge in batch
 order, so statistics are byte-identical for any parallelism degree.  A port
 reproduces the statistics by reproducing this derivation (numpy's
 SeedSequence hash is specified in its docs) and the batch draw order
-documented in each batch routine.
+documented in each batch routine.  The switch chain
+(sampler.switch_chain_batch) draws its proposals a block of steps at a
+time, max(1, 2**14 // chains) steps per block: every first-edge index of
+the block, then every second-edge index, then every orientation.  A batch's
+rows therefore depend on its chain count (the batch size) as well as on its
+stream and step count.
 """
 
 from __future__ import annotations

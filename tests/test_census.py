@@ -12,6 +12,7 @@ from degconn import (ComponentTaxonomy, DegreeSequence, SimpleGraph,
                      classify_components, connected_components,
                      estimate_disconnection, exact_connectivity_oracle,
                      rejection_sample_batch, tightness_experiment)
+from degconn import census as census_mod
 from degconn.census import (_NAMED_SIGNATURES, _batch_census,
                             clopper_pearson_interval,
                             exact_multigraph_edge_component_mean,
@@ -167,9 +168,49 @@ def test_samplers_agree():
 
 def test_thread_count_does_not_change_report():
     seq = DegreeSequence([1, 1, 2, 2])
-    a = estimate_disconnection(seq, 3000, seed=5, threads=1, batch_size=512)
-    b = estimate_disconnection(seq, 3000, seed=5, threads=4, batch_size=512)
-    assert a.to_json_dict() == b.to_json_dict()
+    for sampler in ("rejection", "switch-chain"):
+        a = estimate_disconnection(seq, 3000, seed=5, sampler=sampler,
+                                   threads=1, batch_size=512)
+        b = estimate_disconnection(seq, 3000, seed=5, sampler=sampler,
+                                   threads=4, batch_size=512)
+        assert a.to_json_dict() == b.to_json_dict(), sampler
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs the jobs
+    in process."""
+    workers = []
+
+    def __init__(self, max_workers):
+        RecordingPool.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (64, 8, 3),     # three batches
+    (64, 2, 2),     # two cores
+    (2, 8, 2),
+    (64, None, None),  # unknown core count: one worker, no pool
+    (1, 8, None),
+])
+def test_thread_count_is_clamped(monkeypatch, threads, cpus, workers):
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cpus)
+    RecordingPool.workers = []
+    seq = DegreeSequence([1, 1, 2, 2])
+    report = estimate_disconnection(seq, 30, seed=5, threads=threads,
+                                    batch_size=10)
+    assert RecordingPool.workers == ([] if workers is None else [workers])
+    serial = estimate_disconnection(seq, 30, seed=5, threads=1, batch_size=10)
+    assert report.to_json_dict() == serial.to_json_dict()
 
 
 def test_estimate_rejects_bad_trials():

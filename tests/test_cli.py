@@ -118,6 +118,13 @@ def test_negative_steps_exit_1_with_rejection(capsys):
         assert out == "" and "steps" in err
 
 
+def test_negative_steps_exit_1_in_multigraph_explore(capsys):
+    code, out, err = run(capsys, "explore", "--seq", "2 2 2 2",
+                         "--mode", "multigraph", "--steps", "-3")
+    assert code == 1
+    assert out == "" and "steps" in err
+
+
 def test_subcommands_refuse_flags_they_do_not_read(capsys):
     for argv in (["explore", "--trials", "3"], ["explore", "--threads", "2"],
                  ["sample", "--threads", "2"], ["tightness", "--steps", "5"],

@@ -2,6 +2,7 @@
 and the conditional edge-probability oracle."""
 
 import pickle
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
                      conditional_edge_probability_oracle, default_chain_steps,
                      havel_hakimi_construct, random_matching,
                      rejection_sample_batch, switching)
+from degconn import sampler as sampler_mod
 from degconn.census import sample_batch
 from degconn.errors import NotExtendable, TooLarge
 from degconn.sampler import switch_chain_batch
@@ -212,25 +214,64 @@ def test_switch_chain_rejects_negative_steps():
     assert (codes == [u * 5 + v for u, v in start.edges()]).all()
 
 
-def test_switch_chain_batch_rows_realize_sequence():
-    seq = DegreeSequence([2, 2, 3, 3, 2])
-    codes = switch_chain_batch(seq, 60, 400, substream(21, 0))
-    assert codes.shape == (400, seq.m)
+def proposal_block(chains):
+    return max(1, sampler_mod._PROPOSAL_ELEMENTS // chains)
+
+
+def assert_simple_realizations(seq, codes):
+    """Every row of `codes` is a simple graph with the sequence's degrees."""
     lo = codes // (seq.n + 1)
     hi = codes % (seq.n + 1)
-    for r in (0, 200, 399):
-        g = SimpleGraph(seq.n, list(zip(lo[r].tolist(), hi[r].tolist())))
-        assert g.degree_vector() == list(seq.degrees)
-    assert (np.diff(codes, axis=1) > 0).all()
+    assert ((1 <= lo) & (lo < hi) & (hi <= seq.n)).all()
+    assert (np.diff(codes, axis=1) > 0).all()  # no parallel edges
+    for r in range(len(codes)):
+        deg = np.bincount(np.concatenate((lo[r], hi[r])), minlength=seq.n + 1)
+        assert deg[1:].tolist() == list(seq.degrees), r
+
+
+def test_switch_chain_batch_rows_realize_sequence():
+    # one chain, and chain counts whose proposal block does not divide steps
+    for degrees, steps, chains in (([2, 2, 3, 3, 2], 60, 400),
+                                   ([4, 3, 3, 3, 2, 2, 2, 1], 700, 1),
+                                   ([4, 3, 3, 3, 2, 2, 2, 1], 500, 300)):
+        assert chains == 1 or steps % proposal_block(chains)
+        seq = DegreeSequence(degrees)
+        codes = switch_chain_batch(seq, steps, chains, substream(21, 0))
+        assert codes.shape == (chains, seq.m)
+        assert_simple_realizations(seq, codes)
 
 
 def test_switch_chain_batch_agrees_with_uniform():
     seq = DegreeSequence([1, 1, 1, 1])
-    codes = switch_chain_batch(seq, 40, 30000, substream(13, 0))
-    keys, counts = np.unique(codes, axis=0, return_counts=True)
-    assert len(keys) == 3
-    tv = np.abs(counts / counts.sum() - 1 / 3).sum() / 2
-    assert tv < 0.02
+    # one-step blocks; then 41 steps over 4-step blocks, the last partial
+    for chains, steps, streams in ((30000, 40, 1), (4000, 41, 5)):
+        block = proposal_block(chains)
+        assert steps > 2 * block
+        codes = np.concatenate([switch_chain_batch(seq, steps, chains,
+                                                   substream(13, s))
+                                for s in range(streams)])
+        keys, counts = np.unique(codes, axis=0, return_counts=True)
+        assert len(keys) == 3
+        tv = np.abs(counts / counts.sum() - 1 / 3).sum() / 2
+        assert tv < 0.02
+
+
+def test_switch_chain_refuses_oversized_adjacency(monkeypatch):
+    def unreachable(seq):
+        raise AssertionError("the start graph was built")
+
+    monkeypatch.setattr(sampler_mod, "havel_hakimi_construct", unreachable)
+    seq = DegreeSequence([2] * 40000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="1024 chains") as err:
+            switch_chain_batch(seq, 10, 1024, substream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(1024 * 40001 ** 2) in str(err.value)
+    assert "n = 40000" in str(err.value)
+    assert peak < 1 << 20
 
 
 def test_conditional_oracle_frozen_values():
