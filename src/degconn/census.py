@@ -19,6 +19,7 @@ results merge associatively and reproduce exactly at any thread count.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from collections import Counter
@@ -30,7 +31,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.stats import beta
 
 from .degseq import (DegreeSequence, InvariantSet, compute_invariants,
                      theorem1_bound, validate_sequence)
@@ -229,6 +229,9 @@ def wilson_interval(successes: int, trials: int,
 
 def clopper_pearson_interval(successes: int, trials: int,
                              alpha: float = 0.05) -> Tuple[float, float]:
+    # scipy.stats takes most of a cold `import degconn`; only this needs it
+    from scipy.stats import beta
+
     lo = 0.0 if successes == 0 else float(
         beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(
@@ -434,12 +437,16 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
                            steps: Optional[int] = None,
                            threads: int = 1,
                            batch_size: int = BATCH_SIZE,
-                           max_attempts: int = 10**6) -> CensusReport:
+                           max_attempts: int = 10**6,
+                           pool: Optional[ProcessPoolExecutor] = None
+                           ) -> CensusReport:
     """Monte Carlo disconnection estimate with full component taxonomy.
 
     Workers own whole batches (seeded by batch index) and tallies merge in
-    batch order, so the report is identical at any thread count.  At most
-    min(threads, batches, CPUs) worker processes run; one means no pool.
+    batch order, so the report is identical at any thread count.  The
+    batches run on `pool` when one is given (threads is then not read);
+    otherwise at most min(threads, batches, CPUs) worker processes run in
+    a pool of their own, and one means no pool.
     """
     validate_sequence(seq.degrees)
     if trials < 1:
@@ -450,9 +457,11 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
              max_attempts, threshold)
             for b, start, stop in batch_ranges(trials, batch_size)]
     max_workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(_census_batch_job, jobs, chunksize=1))
+    if pool is not None:
+        results = list(pool.map(_census_batch_job, jobs, chunksize=1))
+    elif max_workers > 1:
+        with ProcessPoolExecutor(max_workers=max_workers) as own:
+            results = list(own.map(_census_batch_job, jobs, chunksize=1))
     else:
         results = [_census_batch_job(j) for j in jobs]
     results.sort(key=lambda r: r[0])
@@ -578,31 +587,36 @@ def tightness_experiment(family: Callable[[int], DegreeSequence],
                          batch_size: int = BATCH_SIZE) -> TightnessTable:
     """Empirical small-component means against their closed-form bounds
     across a growing family.  Sequences violating the neighbor-degree-sum
-    condition d_star <= m/3 are flagged rather than rejected."""
+    condition d_star <= m/3 are flagged rather than rejected.  Every size
+    runs on one process pool of min(threads, batches per size, CPUs)
+    workers, none when that is 1."""
+    workers = min(threads, -(-trials // batch_size), os.cpu_count() or 1)
     rows: List[TightnessRow] = []
-    for idx, size in enumerate(sizes):
-        seq = family(size)
-        validate_sequence(seq.degrees)
-        child = int(np.random.SeedSequence(
-            (seed & (2**64 - 1), 777, idx)).generate_state(1, np.uint64)[0])
-        report = estimate_disconnection(seq, trials, child, sampler=sampler,
-                                        threads=threads,
-                                        batch_size=batch_size)
-        inv = report.invariants
-        means = report.taxonomy_means()
-        ok = inv.d_star <= Fraction(seq.m, 3)
-        for cls, u_name in CLASS_INVARIANT_PAIRS:
-            u = getattr(inv, u_name)
-            mean = means.get(cls, 0.0)
-            if u > 0:
-                ratio: Optional[float] = mean / float(u)
-            elif mean == 0.0:
-                ratio = None  # 0/0: class impossible and bound vacuous
-            else:
-                ratio = math.inf
-            rows.append(TightnessRow(size=size, n=seq.n, m=seq.m,
-                                     d_star_ok=ok, cls=cls,
-                                     empirical_mean=mean,
-                                     u_value=float(u), ratio=ratio))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for idx, size in enumerate(sizes):
+            seq = family(size)
+            validate_sequence(seq.degrees)
+            child = int(np.random.SeedSequence(
+                (seed & (2**64 - 1), 777, idx)).generate_state(1, np.uint64)[0])
+            report = estimate_disconnection(seq, trials, child,
+                                            sampler=sampler, threads=threads,
+                                            batch_size=batch_size, pool=pool)
+            inv = report.invariants
+            means = report.taxonomy_means()
+            ok = inv.d_star <= Fraction(seq.m, 3)
+            for cls, u_name in CLASS_INVARIANT_PAIRS:
+                u = getattr(inv, u_name)
+                mean = means.get(cls, 0.0)
+                if u > 0:
+                    ratio: Optional[float] = mean / float(u)
+                elif mean == 0.0:
+                    ratio = None  # 0/0: class impossible and bound vacuous
+                else:
+                    ratio = math.inf
+                rows.append(TightnessRow(size=size, n=seq.n, m=seq.m,
+                                         d_star_ok=ok, cls=cls,
+                                         empirical_mean=mean,
+                                         u_value=float(u), ratio=ratio))
     return TightnessTable(family=family_name, trials=trials, seed=seed,
                           sampler=sampler, rows=tuple(rows))

@@ -164,6 +164,17 @@ def cmd_sample(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    # the multigraph mode draws a matching, with no sampler to configure
+    given = [flag for flag, value in (("--sampler", args.sampler),
+                                      ("--max-attempts", args.max_attempts))
+             if value is not None]
+    if args.mode == "multigraph" and given:
+        raise _UsageError(f"explore --mode multigraph does not take "
+                          f"{' or '.join(given)}")
+    if args.sampler is None:
+        args.sampler = "auto"
+    if args.max_attempts is None:
+        args.max_attempts = 10**6
     seq = _resolve_sequence(args)
     trace, graph = explore_revealing(
         seq, substream(args.seed, 0), args.start, mode=args.mode,
@@ -296,6 +307,8 @@ def build_parser() -> _Parser:
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--mode", choices=["simple-conditioned", "multigraph"],
                    default="simple-conditioned")
+    # unset until cmd_explore, so it can tell a flag given from its default
+    p.set_defaults(sampler=None, max_attempts=None)
     p = sub.add_parser("census", parents=[seq_flags, out_flags],
                        help="Monte Carlo disconnection census")
     add_run_flags(p, *run_flags)

@@ -26,18 +26,34 @@ LOW_DEGREE_DENOM = 10**24
 
 
 def erdos_gallai(degrees: Iterable[int]) -> bool:
-    """Erdos-Gallai test: True iff the (even-sum) degree list is graphical."""
+    """Erdos-Gallai test: True iff the (even-sum) degree list is graphical.
+
+    With d sorted non-increasing, the k-th inequality
+    d_1 + ... + d_k <= k(k-1) + sum_{i>k} min(k, d_i) is checked only where
+    the degree drops (d_k > d_{k+1}) and at k = n, which suffices (Tripathi
+    & Vijay, Discrete Math. 2003).  The tail sum is kept by a pointer p to
+    the last degree >= k, which only moves left, so the test is linear
+    after the sort.
+    """
     d = sorted(degrees, reverse=True)
     n = len(d)
-    if n == 0 or sum(d) % 2:
+    total = sum(d)
+    if n == 0 or total % 2:
         return False
     if d[0] > n - 1 or d[-1] < 0:
         return False
-    # prefix sums of the sorted list and the classic k-th inequality
     prefix = 0
+    p = n  # d[:p] are the degrees >= k
+    below = 0  # sum(d[p:])
     for k in range(1, n + 1):
         prefix += d[k - 1]
-        tail = sum(min(k, di) for di in d[k:])
+        if k < n and d[k] == d[k - 1]:
+            continue
+        while p and d[p - 1] < k:
+            p -= 1
+            below += d[p]
+        # sum_{i>k} min(k, d_i): d[k:p] count k each, the rest in full
+        tail = k * (p - k) + below if p > k else total - prefix
         if prefix > k * (k - 1) + tail:
             return False
     return True

@@ -4,7 +4,11 @@ Two routes, each implemented once and vectorized over a batch:
   * configuration-model rejection (rejection_sample_batch): draw uniform
     perfect matchings on half-edges until the multigraph is simple.  Each
     simple graph corresponds to exactly prod d(i)! matchings, so acceptance
-    is exactly uniform.
+    is exactly uniform.  A matching is one row of raw 64-bit generator
+    words with its half-edge's owner packed into the low bits of each,
+    sorted in place: the pairing an argsort of the same row of rng.random
+    floats gives, without the argsort.  Rows whose words tie above the
+    owner bits are rejected, so the shuffle is exactly uniform.
   * edge-switching Markov chain (switch_chain_batch): lazy chain whose moves
     replace edges xy, uv by xv, uy; the proposal kernel is symmetric and the
     state space connected, so the stationary law is uniform.  The chains
@@ -36,7 +40,7 @@ from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
 DEFAULT_MAX_ATTEMPTS = 10**6
 # A rejection block holds at most this many half-edge slots (rows * 2m), so
 # its memory stays bounded whatever m is.  Rows are consecutive slices of
-# one float stream, so the block size never changes the rows or attempts
+# one raw-word stream, so the block size never changes the rows or attempts
 # returned, only how far the generator has advanced when the call returns.
 _BLOCK_ELEMENTS = 1 << 20
 # A switch-chain proposal block holds at most this many chain-steps
@@ -77,14 +81,34 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
     Returns (lo, hi, attempts): two (count, m) int32 arrays with lo < hi
     row-wise (edge order within a row is code-sorted), plus the number of
     matchings inspected through the one yielding the count-th acceptance.
-    Draw order: repeated blocks of uniform (rows, 2m) floats, one row per
-    attempted matching (argsort of each row is the permutation); block sizes
-    adapt to the observed acceptance rate and hold at most _BLOCK_ELEMENTS
-    floats (at least one row).  Raises AttemptsExhausted once
-    max_attempts matchings have been drawn without filling the request.
+
+    Draw order: repeated blocks of (rows, 2m) raw 64-bit words from
+    rng.bit_generator.random_raw, one row per attempted matching; block
+    sizes adapt to the observed acceptance rate and hold at most
+    _BLOCK_ELEMENTS words (at least one row).  These are the words
+    rng.random turns into the floats (w >> 11) * 2**-53.  The low
+    b = n.bit_length() bits of each word are replaced by the owner of its
+    half-edge and each row is sorted in place; the sorted row reads off the
+    owners of a uniform pairing, consecutive entries paired.  The high
+    64 - b bits order the row as the floats do (for b <= 11 they hold all
+    53 float bits), so a row pairs the half-edges as the argsort of the same
+    row of rng.random floats would.  A row whose keys tie in those high
+    bits is rejected like a loop, so the pairing is exactly uniform at
+    every n; a row ties with probability at most C(2m, 2) * 2**-(64 - b).
+
+    Raises AttemptsExhausted once max_attempts matchings have been drawn
+    without filling the request, and ValueError for a bit generator whose
+    raw words are not 64 bits wide (MT19937).
     """
-    owners = owner_array(seq)
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("rejection sampling needs 64-bit raw words; "
+                         "MT19937 gives 32")
+    owners = owner_array(seq).astype(np.uint64)
     two_m, m, n = 2 * seq.m, seq.m, seq.n
+    bits = n.bit_length()
+    low = np.uint64((1 << bits) - 1)
+    side = n + 1
+    code_type = np.int32 if side * side < 2**31 else np.int64
     out_lo = np.empty((count, m), dtype=np.int32)
     out_hi = np.empty((count, m), dtype=np.int32)
     got = 0
@@ -100,27 +124,28 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
             rows = count + count // 2 + 16
         rows = min(max(rows, 64), max(1, _BLOCK_ELEMENTS // two_m),
                    max_attempts - drawn)
-        perm = np.argsort(rng.random((rows, two_m)), axis=1)
+        keys = rng.bit_generator.random_raw((rows, two_m))
         drawn += rows
-        o = owners[perm]
+        keys &= ~low
+        keys |= owners
+        keys.sort(axis=1)
         # rows with a loop are rejected before their edge codes are built
-        loop_free = np.flatnonzero(~(o[:, 0::2] == o[:, 1::2]).any(axis=1))
-        u = o[loop_free, 0::2]
-        v = o[loop_free, 1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        codes = lo.astype(np.int64) * (n + 1) + hi
-        # one code order serves the duplicate test and the stored rows
-        order = np.argsort(codes, axis=1)
-        sorted_codes = np.take_along_axis(codes, order, axis=1)
-        simple = ~(np.diff(sorted_codes, axis=1) == 0).any(axis=1)
-        keep = np.flatnonzero(simple)[: count - got]
+        loop_free = np.flatnonzero(
+            ~(((keys[:, 0::2] ^ keys[:, 1::2]) & low) == 0).any(axis=1))
+        o = (keys[loop_free] & low).astype(code_type)
+        u = o[:, 0::2]
+        v = o[:, 1::2]
+        codes = np.minimum(u, v) * side + np.maximum(u, v)
+        codes.sort(axis=1)
+        simple = np.flatnonzero(~(np.diff(codes, axis=1) == 0).any(axis=1))
+        high = keys[loop_free[simple]] >> np.uint64(bits)
+        untied = simple[~(high[:, 1:] == high[:, :-1]).any(axis=1)]
+        keep = untied[: count - got]
         take = loop_free[keep]
         k = len(take)
         if k:
-            order = order[keep]
-            out_lo[got:got + k] = np.take_along_axis(lo[keep], order, axis=1)
-            out_hi[got:got + k] = np.take_along_axis(hi[keep], order, axis=1)
+            out_lo[got:got + k], out_hi[got:got + k] = np.divmod(
+                codes[keep], side)
             got += k
         if got < count:
             attempts = drawn

@@ -1,8 +1,12 @@
 """Component census: classification, exact oracles, Monte Carlo estimates,
 and the tightness experiment."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -211,6 +215,34 @@ def test_thread_count_is_clamped(monkeypatch, threads, cpus, workers):
     assert RecordingPool.workers == ([] if workers is None else [workers])
     serial = estimate_disconnection(seq, 30, seed=5, threads=1, batch_size=10)
     assert report.to_json_dict() == serial.to_json_dict()
+
+
+def test_tightness_experiment_opens_one_pool(monkeypatch):
+    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 8)
+    RecordingPool.workers = []
+    sizes = (10, 12, 14)
+
+    def run(threads):
+        return tightness_experiment(lambda k: regular(3, k), sizes,
+                                    trials=300, seed=4, threads=threads,
+                                    batch_size=100)
+
+    pooled = run(2)
+    assert RecordingPool.workers == [2]
+    assert pooled == run(1)
+    assert RecordingPool.workers == [2]
+
+
+def test_import_leaves_scipy_stats_out():
+    src = str(Path(census_mod.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, degconn; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_estimate_rejects_bad_trials():

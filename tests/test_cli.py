@@ -125,6 +125,23 @@ def test_negative_steps_exit_1_in_multigraph_explore(capsys):
     assert out == "" and "steps" in err
 
 
+def test_multigraph_explore_refuses_sampler_flags(capsys):
+    base = ("explore", "--seq", "2 2 2 2", "--mode", "multigraph")
+    for flags in (["--sampler", "switch-chain"], ["--sampler", "auto"],
+                  ["--max-attempts", "1"]):
+        code, out, err = run(capsys, *base, *flags)
+        assert code == 1, flags
+        assert out == "" and "usage error" in err and flags[0] in err
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert json.loads(out)["config"]["sampler"] == "auto"
+    # the simple-conditioned mode still reads both flags
+    code, out, _ = run(capsys, "explore", "--seq", "2 2 2 2", "--sampler",
+                       "rejection", "--max-attempts", "50")
+    assert code == 0
+    assert json.loads(out)["config"]["sampler"] == "rejection"
+
+
 def test_subcommands_refuse_flags_they_do_not_read(capsys):
     for argv in (["explore", "--trials", "3"], ["explore", "--threads", "2"],
                  ["sample", "--threads", "2"], ["tightness", "--steps", "5"],

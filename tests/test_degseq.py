@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -13,6 +14,7 @@ from degconn import (DegreeSequence, NegativeDegree, NotGraphical, OddSum,
                      SequenceError, ZeroDegree, compute_invariants,
                      erdos_gallai, theorem1_bound, validate_sequence)
 from degconn.degseq import parse_sequence_text
+from degconn.families import regular
 from degconn.exact import graphical_multisets
 from degconn.exact import enumerate_realizations
 
@@ -43,6 +45,62 @@ def test_erdos_gallai_matches_realization_search():
         has_realization = next(iter(enumerate_realizations(list(degs))),
                                None) is not None
         assert erdos_gallai(degs) == has_realization, degs
+
+
+def quadratic_erdos_gallai(degrees):
+    """The O(n^2) test erdos_gallai replaced: every k-th inequality, each
+    tail summed afresh.  Kept as the reference."""
+    d = sorted(degrees, reverse=True)
+    n = len(d)
+    if n == 0 or sum(d) % 2:
+        return False
+    if d[0] > n - 1 or d[-1] < 0:
+        return False
+    prefix = 0
+    for k in range(1, n + 1):
+        prefix += d[k - 1]
+        tail = sum(min(k, di) for di in d[k:])
+        if prefix > k * (k - 1) + tail:
+            return False
+    return True
+
+
+def partitions(total, largest):
+    """Non-increasing tuples of positive integers summing to `total`."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
+def test_erdos_gallai_matches_quadratic_test_exhaustively():
+    # every positive multiset with sum <= 16, odd sums included, alone and
+    # with zero degrees appended
+    checked = graphical = 0
+    for total in range(17):
+        for degs in partitions(total, total):
+            for padded in (degs, degs + (0,), degs + (0, 0)):
+                want = quadratic_erdos_gallai(padded)
+                assert erdos_gallai(padded) == want, padded
+                checked += 1
+                graphical += want
+    assert checked == 2745 and graphical == 629
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-1, 25), max_size=30))
+def test_erdos_gallai_matches_quadratic_test(degs):
+    assert erdos_gallai(degs) == quadratic_erdos_gallai(degs)
+
+
+def test_erdos_gallai_is_fast_at_large_n():
+    t0 = time.perf_counter()
+    seq = regular(2, 100000)
+    assert time.perf_counter() - t0 < 1.0
+    assert seq.n == 100000 and seq.graphical
+    assert not erdos_gallai([99999] * 2 + [1] * 99998)
 
 
 def test_degree_sequence_basic_fields():

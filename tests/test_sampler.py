@@ -14,10 +14,11 @@ from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
                      conditional_edge_probability_oracle, default_chain_steps,
                      havel_hakimi_construct, random_matching,
                      rejection_sample_batch, switching)
+from degconn import families
 from degconn import sampler as sampler_mod
 from degconn.census import sample_batch
 from degconn.errors import NotExtendable, TooLarge
-from degconn.sampler import switch_chain_batch
+from degconn.sampler import owner_array, switch_chain_batch
 from degconn.streams import substream
 
 
@@ -96,6 +97,132 @@ def test_rejection_batch_matches_degree_sequence():
     # canonical row order: edge codes strictly increasing
     codes = lo.astype(np.int64) * (seq.n + 1) + hi
     assert (np.diff(codes, axis=1) > 0).all()
+
+
+def argsort_rejection_reference(seq, count, rng, max_attempts=10**6):
+    """The argsort rejection kernel that rejection_sample_batch replaced:
+    each attempted matching is the argsort of a row of rng.random floats,
+    with the same block-size rule.  Kept as an independent reference."""
+    owners = owner_array(seq)
+    two_m, m, n = 2 * seq.m, seq.m, seq.n
+    out_lo = np.empty((count, m), dtype=np.int32)
+    out_hi = np.empty((count, m), dtype=np.int32)
+    got = attempts = drawn = 0
+    while got < count:
+        if drawn >= max_attempts:
+            raise AttemptsExhausted(max_attempts)
+        if drawn:
+            acceptance = max(got / drawn, 1.0 / (4 * m + 4))
+            rows = int((count - got) / acceptance * 1.25) + 16
+        else:
+            rows = count + count // 2 + 16
+        rows = min(max(rows, 64), max(1, sampler_mod._BLOCK_ELEMENTS // two_m),
+                   max_attempts - drawn)
+        perm = np.argsort(rng.random((rows, two_m)), axis=1)
+        drawn += rows
+        o = owners[perm]
+        loop_free = np.flatnonzero(~(o[:, 0::2] == o[:, 1::2]).any(axis=1))
+        u = o[loop_free, 0::2]
+        v = o[loop_free, 1::2]
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        codes = lo.astype(np.int64) * (n + 1) + hi
+        order = np.argsort(codes, axis=1)
+        sorted_codes = np.take_along_axis(codes, order, axis=1)
+        simple = ~(np.diff(sorted_codes, axis=1) == 0).any(axis=1)
+        keep = np.flatnonzero(simple)[: count - got]
+        take = loop_free[keep]
+        k = len(take)
+        if k:
+            order = order[keep]
+            out_lo[got:got + k] = np.take_along_axis(lo[keep], order, axis=1)
+            out_hi[got:got + k] = np.take_along_axis(hi[keep], order, axis=1)
+            got += k
+        if got < count:
+            attempts = drawn
+        else:
+            attempts += int(take[-1]) + 1
+    return out_lo, out_hi, attempts
+
+
+def assert_same_as_reference(seq, count, seed):
+    mine, theirs = substream(seed, count), substream(seed, count)
+    lo, hi, attempts = rejection_sample_batch(seq, count, mine)
+    ref_lo, ref_hi, ref_attempts = argsort_rejection_reference(seq, count,
+                                                               theirs)
+    assert lo.dtype == hi.dtype == np.int32
+    assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    assert attempts == ref_attempts
+    # the generator is left where the reference left it
+    assert mine.random() == theirs.random()
+    return lo, hi
+
+
+@pytest.mark.parametrize("seq", [
+    families.twos_tenth_of_m(60), families.twos_tenth_of_m(120),
+    families.twos_tenth_of_m(240), families.with_leaves(40, 3, 60),
+    families.regular(3, 100)], ids=lambda s: f"n{s.n}_m{s.m}")
+@pytest.mark.parametrize("count", [1, 1024])
+def test_rejection_kernel_matches_argsort_reference(seq, count):
+    assert_same_as_reference(seq, count, seed=41)
+
+
+def test_rejection_kernel_int64_codes():
+    # (n+1)^2 >= 2**31: edge codes need int64
+    for degrees in ([1] * 46342, [1] * 46340 + [100, 100]):
+        seq = DegreeSequence(degrees)
+        assert (seq.n + 1) ** 2 >= 2**31
+        lo, hi = assert_same_as_reference(seq, 24, seed=5)
+        codes = lo.astype(np.int64) * (seq.n + 1) + hi
+        assert (np.diff(codes, axis=1) > 0).all()
+    # the hub pair and the last leaf give codes past the int32 range
+    assert (codes >= 2**31).any()
+
+
+class TiedWords:
+    """Stands in for a Generator: random_raw hands out the given rows of
+    raw words first, then rows of distinct words."""
+
+    def __init__(self, rows):
+        self.rows = [np.array(r, dtype=np.uint64) for r in rows]
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        out = (np.arange(size[0] * size[1], dtype=np.uint64)
+               .reshape(size) * np.uint64(1 << 40) + np.uint64(1 << 62))
+        for r, row in enumerate(self.rows[:size[0]]):
+            out[r] = row
+        del self.rows[:size[0]]
+        return out
+
+
+def test_rejection_rejects_rows_with_tied_keys():
+    top = 1 << 63
+    # n = 4 leaves a 3-bit owner field; every row here is a simple graph
+    # (four leaves) unless its keys tie above that field
+    rows = [
+        [top, top, 5 << 20, 9 << 20],          # identical words
+        [top | 1, top | 6, 5 << 20, 9 << 20],  # differ in the owner bits only
+        [7 << 20, 5 << 20, 7 << 20, 9 << 20],  # tie away from each other
+        [7 << 20, 5 << 20, 8 << 20, 9 << 20],  # distinct: accepted
+    ]
+    seq = DegreeSequence([1, 1, 1, 1])
+    lo, hi, attempts = rejection_sample_batch(seq, 1, TiedWords(rows))
+    assert attempts == 4
+    # sorted keys 5, 7, 8, 9 << 20 carry owners 2, 1, 3, 4
+    assert lo.tolist() == [[1, 3]] and hi.tolist() == [[2, 4]]
+    # tied rows count as attempts
+    lo, hi, attempts = rejection_sample_batch(seq, 2, TiedWords(rows[:3]),
+                                              max_attempts=5)
+    assert attempts == 5
+    with pytest.raises(AttemptsExhausted):
+        rejection_sample_batch(seq, 1, TiedWords(rows[:3]), max_attempts=3)
+
+
+def test_rejection_refuses_32_bit_words():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="64-bit"):
+        rejection_sample_batch(DegreeSequence([1, 1]), 1, rng)
 
 
 def test_havel_hakimi_frozen_outputs():
