@@ -12,13 +12,13 @@ from .errors import (AttemptsExhausted, DegconnError, InfeasibleFamily,
                      InvalidSwitch, NegativeDegree, NotExtendable,
                      NotGraphical, OddSum, PartialMatching, SequenceError,
                      TooLarge, TrialsTooFew, ZeroDegree)
+from .exact import conditional_edge_probability
 from .explore import (ExplorationTrace, IterationRecord, check_trace,
                       explore, explore_components, explore_matching,
                       explore_revealing, truncated_increment)
 from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
                      half_edge, half_edge_owner, matching_to_multigraph)
-from .sampler import (conditional_edge_probability_oracle,
-                      default_chain_steps, havel_hakimi_construct,
+from .sampler import (default_chain_steps, havel_hakimi_construct,
                       random_matching, rejection_sample_batch, switching)
 
 __version__ = "0.1.0"
@@ -32,7 +32,7 @@ __all__ = [
     "PartialMatching", "SequenceError", "SimpleGraph", "TooLarge",
     "TrialsTooFew", "ZeroDegree", "check_trace", "classify_component",
     "classify_components", "compute_invariants",
-    "conditional_edge_probability_oracle", "connected_components",
+    "conditional_edge_probability", "connected_components",
     "default_chain_steps", "erdos_gallai", "estimate_disconnection",
     "exact_connectivity_oracle", "explore", "explore_components",
     "explore_matching", "explore_revealing", "half_edge", "half_edge_owner",

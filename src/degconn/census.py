@@ -34,8 +34,9 @@ from scipy.sparse import csgraph
 
 from .degseq import (DegreeSequence, InvariantSet, compute_invariants,
                      theorem1_bound, validate_sequence)
-from .errors import TooLarge, TrialsTooFew
-from .exact import enumerate_realizations, iter_matching_extensions
+from .errors import TrialsTooFew
+from .exact import (check_enumerable, enumerate_realizations,
+                    iter_matching_extensions)
 from .graphs import Matching, SimpleGraph, half_edge_owner
 from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps,
                       rejection_sample_batch, switch_chain_batch)
@@ -44,7 +45,6 @@ from .streams import BATCH_SIZE, batch_ranges, substream
 SMALL_COMPONENT_MAX = 6
 _COUNT_BITS = 3  # holds a per-degree vertex count of 0..SMALL_COMPONENT_MAX
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
-ORACLE_MAX_HALF_EDGES = 20
 SCHEMA_VERSION = 1
 
 # Named classes paired with the invariant that bounds their appearance
@@ -199,13 +199,11 @@ class ConnectivityOracle:
                 for cls, c in sorted(self.taxonomy_totals.counts.items())}
 
 
-def exact_connectivity_oracle(seq: DegreeSequence,
-                              max_half_edges: int = ORACLE_MAX_HALF_EDGES) -> ConnectivityOracle:
+def exact_connectivity_oracle(seq: DegreeSequence) -> ConnectivityOracle:
     """Exact P(connected) under the uniform simple-graph law by exhaustive
-    realization enumeration, with the full component taxonomy tally."""
-    if 2 * seq.m > max_half_edges:
-        raise TooLarge(
-            f"oracle refuses {2 * seq.m} half-edges (limit {max_half_edges})")
+    realization enumeration, with the full component taxonomy tally;
+    TooLarge above the enumeration limit (check_enumerable)."""
+    check_enumerable(seq)
     validate_sequence(seq.degrees)
     total, connected, tax = _tally_edge_lists(
         seq.n, seq.degrees, enumerate_realizations(seq.degrees))
@@ -489,8 +487,7 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
 def exact_multigraph_edge_component_mean(seq: DegreeSequence) -> Fraction:
     """Exact expected number of two-leaf components over uniform half-edge
     matchings (enumeration; small sequences only)."""
-    if 2 * seq.m > ORACLE_MAX_HALF_EDGES:
-        raise TooLarge("matching enumeration limit exceeded")
+    check_enumerable(seq)
     leaf = [seq.degree(v) == 1 for v in range(1, seq.n + 1)]
     total = 0
     count = 0

@@ -243,10 +243,13 @@ def cmd_tightness(args) -> int:
     if name not in families.TIGHTNESS_FAMILIES:
         raise InfeasibleFamily(f"no tightness family {name!r}; choose from "
                                f"{sorted(families.TIGHTNESS_FAMILIES)}")
+    family = families.TIGHTNESS_FAMILIES[name]
     sizes = [int(s) for s in args.sizes.split(",")]
-    sampler = args.sampler if args.sampler != "auto" else "rejection"
+    # one sampler per table: the chain when any size needs it
+    resolved = {_resolve_sampler(args.sampler, family(s)) for s in sizes}
+    sampler = "switch-chain" if "switch-chain" in resolved else resolved.pop()
     table = census_mod.tightness_experiment(
-        families.TIGHTNESS_FAMILIES[name], sizes, args.trials, args.seed,
+        family, sizes, args.trials, args.seed,
         family_name=name, sampler=sampler, threads=args.threads)
     if args.format == "csv":
         _emit(args, table.to_csv_text())

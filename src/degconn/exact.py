@@ -10,12 +10,15 @@ other and every sampler:
   * perfect matchings on half-edges: the configuration-model side, for
     matching-level expectations and conditional edge probabilities.
 
-Everything here is deliberately exhaustive and guarded by size checks at the
-call sites (census oracle: 2m <= 20).
+Everything here is deliberately exhaustive.  The oracles built on it
+(conditional_edge_probability here, exact_connectivity_oracle and
+exact_multigraph_edge_component_mean in census) refuse a sequence with more
+than ENUMERATION_MAX_HALF_EDGES = 20 half-edges through check_enumerable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +27,15 @@ from typing import Iterator, List, Sequence, Tuple
 from .degseq import DegreeSequence, erdos_gallai
 from .errors import NotExtendable, TooLarge
 from .graphs import UNMATCHED, HalfEdge, Matching, half_edge_owner
+
+ENUMERATION_MAX_HALF_EDGES = 20
+
+
+def check_enumerable(seq: DegreeSequence) -> None:
+    """Raise TooLarge when 2m exceeds ENUMERATION_MAX_HALF_EDGES."""
+    if 2 * seq.m > ENUMERATION_MAX_HALF_EDGES:
+        raise TooLarge(f"2m = {2 * seq.m} exceeds the enumeration limit of "
+                       f"{ENUMERATION_MAX_HALF_EDGES} half-edges")
 
 
 def enumerate_realizations(degrees: Sequence[int]) -> Iterator[List[Tuple[int, int]]]:
@@ -63,7 +75,7 @@ def enumerate_realizations(degrees: Sequence[int]) -> Iterator[List[Tuple[int, i
         res[v] = 0
         cand = [u for u in range(v + 1, n) if res[u] > 0 and not (adj[v] >> u) & 1]
         if need <= len(cand):
-            for combo in _combinations(cand, need):
+            for combo in itertools.combinations(cand, need):
                 for u in combo:
                     res[u] -= 1
                     edges.append((v + 1, u + 1))
@@ -79,12 +91,6 @@ def enumerate_realizations(degrees: Sequence[int]) -> Iterator[List[Tuple[int, i
         res[v] = need
 
     yield from rec(0)
-
-
-def _combinations(pool: List[int], k: int):
-    # small wrapper so the recursion reads cleanly; itertools is fine here
-    import itertools
-    return itertools.combinations(pool, k)
 
 
 @lru_cache(maxsize=200000)
@@ -208,15 +214,15 @@ def _matching_is_simple(seq: DegreeSequence, partner: Sequence[int]) -> bool:
 
 
 def conditional_edge_probability(seq: DegreeSequence, partial: Matching,
-                                 hv, hw, guard_2m: int = 20) -> Fraction:
+                                 hv, hw) -> Fraction:
     """Exact P(hv matched to hw | partial submatching, result simple).
 
     hv and hw are global half-edge ids (HalfEdge objects also accepted).
     Probability over uniformly random full matchings extending `partial`,
-    conditioned on the multigraph being simple.  Exhaustive, so guarded.
+    conditioned on the multigraph being simple.  Exhaustive, so guarded by
+    check_enumerable.
     """
-    if 2 * seq.m > guard_2m:
-        raise TooLarge(f"2m = {2 * seq.m} exceeds enumeration guard {guard_2m}")
+    check_enumerable(seq)
     a = hv.global_id if isinstance(hv, HalfEdge) else int(hv)
     b = hw.global_id if isinstance(hw, HalfEdge) else int(hw)
     if a == b:

@@ -7,12 +7,14 @@ new of degree 1 -> J_i, new of degree 2 -> K_i (classification always by
 d(w); a partner in the explored part takes the L class).  X_i tracks the
 total open half-edge count; the component is fully explored when X hits 0.
 
-Two deterministic replays share the machinery: `explore` walks a fixed simple
-graph (neighbors in ascending label order), `explore_matching` walks a fixed
-perfect matching on half-edges (slots in ascending order; loops consume both
-half-edges of v_i in one exposure and add 2 to L_i).  `explore_revealing`
-samples the object first and replays, which has exactly the law of revealing
-partners one at a time.
+One walk serves both deterministic replays: `explore` walks a fixed simple
+graph (neighbors in ascending label order) and `explore_matching` walks a
+fixed perfect matching on half-edges (partners in ascending slot order).  An
+edge is exposed when its first endpoint is selected, so a step skips the
+partners that were selected before it; each half-edge of a loop at v_i adds
+1 to L_i and takes 1 from X_i, so the loop adds 2 to L_i.
+`explore_revealing` samples the object first and replays, which has exactly
+the law of revealing partners one at a time.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ import heapq
 import io
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .census import sample_batch
 from .degseq import DegreeSequence
 from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
-from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps, random_matching
+from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps, owner_array,
+                      random_matching)
 
 # X* truncation parameters; kept as named constants so experiments can vary
 # them through truncated_increment's keyword arguments.
@@ -120,145 +123,86 @@ def truncated_increment(record: IterationRecord, m: int,
                    big_step_fraction)
 
 
-class _Walk:
-    """Shared selection/bookkeeping for both replays."""
-
-    def __init__(self, n: int, start: int, start_degree: int, m: int):
-        self.open = [0] * (n + 1)
-        self.in_tree = [False] * (n + 1)
-        self.heap: List[Tuple[int, int]] = []
-        self.X = start_degree
-        self.open[start] = start_degree
-        self.in_tree[start] = True
-        heapq.heappush(self.heap, (start_degree, start))
-        self.records: List[IterationRecord] = []
-        self.m = m
-        self.cutoff = small_degree_cutoff(m)
-        self.start = start
-
-    def select(self) -> int:
+def _walk(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
+          start: int, m: int) -> ExplorationTrace:
+    """The exploration walk from `start`.  partners[v] lists the far end of
+    each of v's edges in exposure order, with v itself once per loop
+    half-edge; degree(u) is u's degree and m the edge count."""
+    n = len(partners) - 1
+    open_ = [0] * (n + 1)
+    in_tree = [False] * (n + 1)
+    selected = [False] * (n + 1)
+    X = open_[start] = degree(start)
+    in_tree[start] = True
+    tree = [start]
+    heap = [(X, start)]
+    cutoff = small_degree_cutoff(m)
+    records: List[IterationRecord] = []
+    while X > 0:
         # lazy deletion: entries whose count went stale are dropped
-        while True:
-            d, v = self.heap[0]
-            if self.in_tree[v] and self.open[v] == d and d > 0:
-                heapq.heappop(self.heap)
-                return v
-            heapq.heappop(self.heap)
-
-    def push(self, v: int) -> None:
-        if self.open[v] > 0:
-            heapq.heappush(self.heap, (self.open[v], v))
-
-    def finish(self, i: int, v: int, d_i: int, x_prev: int, J: int, K: int,
-               L: int, newv: List[Tuple[int, int]]) -> None:
-        self.records.append(IterationRecord(
-            i=i, v=v, d_i=d_i, J=J, K=K, L=L, X=self.X, x_prev=x_prev,
-            X_star=_x_star(d_i, self.X - x_prev, self.cutoff),
+        d_i, v = heapq.heappop(heap)
+        while open_[v] != d_i:
+            d_i, v = heapq.heappop(heap)
+        x_prev = X
+        J = K = L = 0
+        newv: List[Tuple[int, int]] = []
+        for u in partners[v]:
+            if selected[u]:
+                continue  # exposed when u was selected
+            if u == v:
+                L += 1  # one half-edge of a loop
+                X -= 1
+            elif in_tree[u]:
+                L += 1
+                X -= 2
+                open_[u] -= 1
+                if open_[u]:
+                    heapq.heappush(heap, (open_[u], u))
+            else:
+                du = degree(u)
+                in_tree[u] = True
+                tree.append(u)
+                if du == 1:
+                    J += 1
+                elif du == 2:
+                    K += 1
+                X += du - 2
+                open_[u] = du - 1
+                if du > 1:
+                    heapq.heappush(heap, (du - 1, u))
+                newv.append((u, du))
+        selected[v] = True
+        open_[v] = 0
+        records.append(IterationRecord(
+            i=len(records) + 1, v=v, d_i=d_i, J=J, K=K, L=L, X=X,
+            x_prev=x_prev, X_star=_x_star(d_i, X - x_prev, cutoff),
             new_vertices=tuple(newv)))
-
-    def trace(self) -> ExplorationTrace:
-        component = frozenset(v for v in range(len(self.in_tree))
-                              if self.in_tree[v])
-        return ExplorationTrace(start=self.start, records=tuple(self.records),
-                                component=component,
-                                died_at=len(self.records), m=self.m)
+    return ExplorationTrace(start=start, records=tuple(records),
+                            component=frozenset(tree),
+                            died_at=len(records), m=m)
 
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:
     """Deterministic exploration replay on a fixed simple graph."""
     if not 1 <= start <= g.n:
         raise ValueError(f"start {start} out of range")
-    walk = _Walk(g.n, start, g.degree(start), g.m)
-    exposed = set()
-    i = 0
-    while walk.X > 0:
-        v = walk.select()
-        i += 1
-        d_i = walk.open[v]
-        x_prev = walk.X
-        J = K = L = 0
-        newv: List[Tuple[int, int]] = []
-        for u in g.neighbors(v):
-            key = (v, u) if v < u else (u, v)
-            if key in exposed:
-                continue
-            exposed.add(key)
-            if walk.in_tree[u]:
-                L += 1
-                walk.open[u] -= 1
-                walk.open[v] -= 1
-                walk.X -= 2
-                walk.push(u)
-            else:
-                du = g.degree(u)
-                walk.in_tree[u] = True
-                if du == 1:
-                    J += 1
-                elif du == 2:
-                    K += 1
-                walk.open[u] = du - 1
-                walk.open[v] -= 1
-                walk.X += du - 2
-                walk.push(u)
-                newv.append((u, du))
-        walk.finish(i, v, d_i, x_prev, J, K, L, newv)
-    return walk.trace()
+    return _walk(g.adj, g.degree, start, g.m)
 
 
 def explore_matching(seq: DegreeSequence, matching: Matching,
                      start: int) -> ExplorationTrace:
     """Deterministic exploration replay on a fixed full matching (multigraph
-    configuration).  Half-edges of v_i are exposed in ascending slot order; a
-    loop consumes two of them at once and counts 2 toward L_i."""
+    configuration).  Half-edges of v_i are exposed in ascending slot order;
+    each half-edge of a loop counts 1 toward L_i."""
     if not matching.is_full:
         raise ValueError("explore_matching needs a full matching")
     if not 1 <= start <= seq.n:
         raise ValueError(f"start {start} out of range")
+    far = owner_array(seq)[matching.partner].tolist()
     offsets = seq.half_edge_offsets
-    partner = matching.partner
-    owner = np.repeat(np.arange(1, seq.n + 1), seq.degrees)
-    consumed = [False] * (2 * seq.m)
-    walk = _Walk(seq.n, start, seq.degree(start), seq.m)
-    i = 0
-    while walk.X > 0:
-        v = walk.select()
-        i += 1
-        d_i = walk.open[v]
-        x_prev = walk.X
-        J = K = L = 0
-        newv: List[Tuple[int, int]] = []
-        for h in range(offsets[v - 1], offsets[v]):
-            if consumed[h]:
-                continue
-            p = partner[h]
-            consumed[h] = True
-            consumed[p] = True
-            w = int(owner[p])
-            if w == v:
-                # loop: both half-edges belong to v_i and land in L
-                L += 2
-                walk.open[v] -= 2
-                walk.X -= 2
-            elif walk.in_tree[w]:
-                L += 1
-                walk.open[w] -= 1
-                walk.open[v] -= 1
-                walk.X -= 2
-                walk.push(w)
-            else:
-                dw = seq.degree(w)
-                walk.in_tree[w] = True
-                if dw == 1:
-                    J += 1
-                elif dw == 2:
-                    K += 1
-                walk.open[w] = dw - 1
-                walk.open[v] -= 1
-                walk.X += dw - 2
-                walk.push(w)
-                newv.append((w, dw))
-        walk.finish(i, v, d_i, x_prev, J, K, L, newv)
-    return walk.trace()
+    partners = [[]] + [far[offsets[v - 1]:offsets[v]]
+                       for v in range(1, seq.n + 1)]
+    return _walk(partners, seq.degree, start, seq.m)
 
 
 def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,

@@ -25,7 +25,6 @@ batch of one.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,9 +32,7 @@ import numpy as np
 from .degseq import DegreeSequence
 from .errors import (AttemptsExhausted, DegconnError, InvalidSwitch,
                      NotGraphical, TooLarge)
-from .exact import conditional_edge_probability
-from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
-                     matching_to_multigraph)
+from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 # A rejection block holds at most this many half-edge slots (rows * 2m), so
@@ -311,17 +308,9 @@ def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
     return np.sort(codes, axis=1)
 
 
-def conditional_edge_probability_oracle(seq: DegreeSequence, partial: Matching,
-                                        hv: HalfEdge, hw: HalfEdge) -> Fraction:
-    """Exact conditional probability that hv pairs with hw, over full simple
-    matchings extending `partial`; exhaustive with a 2m <= 20 guard."""
-    return conditional_edge_probability(seq, partial, hv, hw)
-
-
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS", "owner_array", "random_matching",
     "rejection_sample_batch", "havel_hakimi_construct", "switching",
     "default_chain_steps", "chain_steps", "switch_chain_batch",
-    "conditional_edge_probability_oracle",
     "Matching", "MultiGraph", "SimpleGraph", "matching_to_multigraph",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from degconn import (DegreeSequence, InvalidSwitch, Matching, SimpleGraph,
-                     check_trace, conditional_edge_probability_oracle,
+                     check_trace, conditional_edge_probability,
                      connected_components, estimate_disconnection,
                      exact_connectivity_oracle, explore, explore_components,
                      half_edge_owner, rejection_sample_batch, switching,
@@ -318,7 +318,7 @@ def test_06_conditional_pairing_bound():
                     if not (dw <= math.sqrt(m) / 10 or d_star <= m / 100):
                         continue
                     instances += 1
-                    p = conditional_edge_probability_oracle(seq, mm, hv, hw)
+                    p = conditional_edge_probability(seq, mm, hv, hw)
                     if p > bound:
                         violations += 1
     assert violations == 0

@@ -11,11 +11,12 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from degconn import (ComponentTaxonomy, DegreeSequence, SimpleGraph,
+from degconn import (ComponentTaxonomy, DegreeSequence, Matching, SimpleGraph,
                      TooLarge, TrialsTooFew, classify_component,
-                     classify_components, connected_components,
-                     estimate_disconnection, exact_connectivity_oracle,
-                     rejection_sample_batch, tightness_experiment)
+                     classify_components, conditional_edge_probability,
+                     connected_components, estimate_disconnection,
+                     exact_connectivity_oracle, rejection_sample_batch,
+                     tightness_experiment)
 from degconn import census as census_mod
 from degconn.census import (_NAMED_SIGNATURES, _batch_census,
                             clopper_pearson_interval,
@@ -124,10 +125,17 @@ def test_oracle_and_census_share_component_keys(degrees, whole):
 
 
 def test_oracle_guards():
-    with pytest.raises(TooLarge):
-        exact_connectivity_oracle(DegreeSequence([2] * 11))
-    with pytest.raises(TooLarge):
-        exact_connectivity_oracle(DegreeSequence([1, 1]), max_half_edges=1)
+    big = DegreeSequence([2] * 11)
+    messages = set()
+    for oracle in (exact_connectivity_oracle,
+                   exact_multigraph_edge_component_mean,
+                   lambda s: conditional_edge_probability(
+                       s, Matching.empty(s), 0, 2)):
+        with pytest.raises(TooLarge) as err:
+            oracle(big)
+        messages.add(str(err.value))
+    assert messages == {"2m = 22 exceeds the enumeration limit of 20 "
+                        "half-edges"}
 
 
 def test_estimate_extreme_sequences():

@@ -298,6 +298,21 @@ def test_tightness_cli_csv(capsys):
     assert all(line.startswith("40,") for line in lines[1:])
 
 
+@pytest.mark.parametrize("family, sizes, sampler", [
+    ("two-stars", "12", "switch-chain"),
+    ("star", "12", "switch-chain"),
+    ("star", "5,12", "switch-chain"),  # rejection at 5, the chain at 12
+    ("with-twos", "40", "rejection"),
+])
+def test_tightness_auto_sampler_uses_the_resolution_rule(capsys, family,
+                                                         sizes, sampler):
+    # a hub of degree n - 1 drops rejection's acceptance rate below 1%
+    code, out, _ = run(capsys, "tightness", "--family", family, "--sizes",
+                       sizes, "--trials", "50", "--seed", "3")
+    assert code == 0
+    assert json.loads(out)["sampler"] == sampler
+
+
 def test_tightness_requires_known_family(capsys):
     assert run(capsys, "tightness", "--sizes", "40")[0] == 1
     code, _, err = run(capsys, "tightness", "--family", "bogus",

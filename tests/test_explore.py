@@ -10,9 +10,10 @@ import pytest
 from degconn import (DegreeSequence, Matching, SimpleGraph, check_trace,
                      connected_components, explore, explore_components,
                      explore_matching, explore_revealing,
-                     havel_hakimi_construct, truncated_increment)
+                     havel_hakimi_construct, matching_to_multigraph,
+                     truncated_increment)
 from degconn.census import sample_batch
-from degconn.exact import iter_matching_extensions
+from degconn.exact import graphical_multisets, iter_matching_extensions
 from degconn.explore import small_degree_cutoff
 from degconn.families import regular, with_leaves
 from degconn.streams import substream
@@ -69,12 +70,40 @@ def test_loop_multigraph_trace_frozen():
     assert any("sqrt" in msg for msg in check_trace(t, simple=True))
 
 
+@pytest.mark.parametrize("degrees, partner, want", [
+    # a double edge between 1 and 2: the second copy is exposed at step 1,
+    # so step 2 skips both half-edges back to the selected vertex 1
+    ([2, 3, 1], [2, 3, 0, 1, 5, 4],
+     [(1, 1, 2, 0, 0, 1, 1, 2, 1.8), (2, 2, 1, 1, 0, 0, 0, 1, -1)]),
+    # a loop at 2, reached from 1: each of its half-edges adds 1 to L
+    ([1, 3], [1, 0, 3, 2],
+     [(1, 1, 1, 0, 0, 0, 2, 1, 1), (2, 2, 2, 0, 0, 2, 0, 2, -2)]),
+])
+def test_multigraph_traces_frozen(degrees, partner, want):
+    t = explore_matching(DegreeSequence(degrees), Matching(partner), 1)
+    assert rows(t) == want
+    assert t.component == frozenset(range(1, len(degrees) + 1))
+    assert check_trace(t, simple=False) == []
+
+
 def test_explore_matching_agrees_on_simple_matchings():
-    seq = DegreeSequence([2, 2, 2])
-    tri = Matching([2, 4, 0, 5, 1, 3])  # the triangle as a matching
-    t = explore_matching(seq, tri, 1)
-    assert [(r.d_i, r.J, r.K, r.L, r.X) for r in t.records] == \
-        [(r.d_i, r.J, r.K, r.L, r.X) for r in explore(TRIANGLE, 1).records]
+    def fields(trace):
+        return [(r.v, r.d_i, r.J, r.K, r.L, r.X, r.x_prev, r.X_star,
+                 sorted(r.new_vertices)) for r in trace.records]
+
+    walks = 0
+    for degrees in graphical_multisets(8):
+        seq = DegreeSequence(degrees)
+        for matching in iter_matching_extensions(seq, Matching.empty(seq)):
+            mg = matching_to_multigraph(seq, matching)
+            if not mg.is_simple:
+                continue
+            g = mg.to_simple()
+            for start in range(1, seq.n + 1):
+                assert fields(explore_matching(seq, matching, start)) == \
+                    fields(explore(g, start))
+                walks += 1
+    assert walks == 3380
 
 
 def test_each_vertex_selected_at_most_once():

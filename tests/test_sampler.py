@@ -11,7 +11,7 @@ import pytest
 
 from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
                      InvalidSwitch, Matching, NotGraphical, SimpleGraph,
-                     conditional_edge_probability_oracle, default_chain_steps,
+                     conditional_edge_probability, default_chain_steps,
                      havel_hakimi_construct, random_matching,
                      rejection_sample_batch, switching)
 from degconn import families
@@ -403,17 +403,17 @@ def test_switch_chain_refuses_oversized_adjacency(monkeypatch):
 
 def test_conditional_oracle_frozen_values():
     s2 = DegreeSequence([1, 1])
-    assert conditional_edge_probability_oracle(
+    assert conditional_edge_probability(
         s2, Matching.empty(s2), 0, 1) == 1
     s4 = DegreeSequence([1, 1, 1, 1])
     empty4 = Matching.empty(s4)
-    assert conditional_edge_probability_oracle(s4, empty4, 0, 1) == \
+    assert conditional_edge_probability(s4, empty4, 0, 1) == \
         Fraction(1, 3)
-    total = sum(conditional_edge_probability_oracle(s4, empty4, 0, h)
+    total = sum(conditional_edge_probability(s4, empty4, 0, h)
                 for h in range(1, 4))
     assert total == 1
     s = DegreeSequence([2, 2, 2, 2])
-    assert conditional_edge_probability_oracle(
+    assert conditional_edge_probability(
         s, Matching.empty(s), 0, 2) == Fraction(1, 6)
 
 
@@ -422,21 +422,21 @@ def test_conditional_oracle_with_partial_matching():
     # to v3 (a second v1-v2 edge would be parallel)
     seq = DegreeSequence([2, 2, 2])
     partial = Matching.empty(seq).with_pair(0, 2)
-    assert conditional_edge_probability_oracle(seq, partial, 1, 4) == \
+    assert conditional_edge_probability(seq, partial, 1, 4) == \
         Fraction(1, 2)  # two half-edges of v3 are symmetric
-    assert conditional_edge_probability_oracle(seq, partial, 1, 3) == 0
+    assert conditional_edge_probability(seq, partial, 1, 3) == 0
 
 
 def test_conditional_oracle_errors():
     seq = DegreeSequence([2, 2])
     with pytest.raises(NotExtendable):
-        conditional_edge_probability_oracle(seq, Matching.empty(seq), 0, 2)
+        conditional_edge_probability(seq, Matching.empty(seq), 0, 2)
     big = DegreeSequence([2] * 11)
     with pytest.raises(TooLarge):
-        conditional_edge_probability_oracle(big, Matching.empty(big), 0, 2)
+        conditional_edge_probability(big, Matching.empty(big), 0, 2)
     s4 = DegreeSequence([1, 1, 1, 1])
     with pytest.raises(ValueError):
-        conditional_edge_probability_oracle(s4, Matching.empty(s4), 0, 0)
+        conditional_edge_probability(s4, Matching.empty(s4), 0, 0)
     s22 = DegreeSequence([2, 2])
     with pytest.raises(ValueError):
-        conditional_edge_probability_oracle(s22, Matching.empty(s22), 0, 1)
+        conditional_edge_probability(s22, Matching.empty(s22), 0, 1)
