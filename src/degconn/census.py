@@ -14,18 +14,19 @@ key once.
 Monte Carlo estimation draws uniform simple graphs in fixed-size batches,
 runs one sparse connected-components pass over the block-diagonal union of a
 batch, and reduces per-component tallies with integer arithmetic so that
-results merge associatively and reproduce exactly at any thread count.
+results merge associatively and reproduce exactly at any thread count.  The
+census and the tightness table run their batches through one runner.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import TrialsTooFew
 from .exact import (check_enumerable, enumerate_realizations,
                     iter_matching_extensions)
 from .graphs import Matching, SimpleGraph, half_edge_owner
-from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps,
+from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps, owner_array,
                       rejection_sample_batch, switch_chain_batch)
 from .streams import BATCH_SIZE, batch_ranges, substream
 
@@ -46,6 +47,7 @@ SMALL_COMPONENT_MAX = 6
 _COUNT_BITS = 3  # holds a per-degree vertex count of 0..SMALL_COMPONENT_MAX
 _COUNT_MASK = (1 << _COUNT_BITS) - 1
 SCHEMA_VERSION = 1
+_MULTIGRAPH_BATCH_SIZE = 4096  # matchings per two-leaf statistics batch
 
 # Named classes paired with the invariant that bounds their appearance
 # probability; the tightness table reports empirical mean / invariant.
@@ -258,17 +260,16 @@ class _Tally:
     second_largest_edges: Counter = field(default_factory=Counter)
 
     def merge(self, other: "_Tally") -> "_Tally":
-        out = _Tally(
+        # counts are positive, so Counter + drops nothing
+        return _Tally(
             trials=self.trials + other.trials,
             disconnected=self.disconnected + other.disconnected,
             components=self.components + other.components,
             attempts=self.attempts + other.attempts,
             two_large=self.two_large + other.two_large,
             taxonomy=self.taxonomy.merge(other.taxonomy),
-        )
-        out.second_largest_edges = Counter(self.second_largest_edges)
-        out.second_largest_edges.update(other.second_largest_edges)
-        return out
+            second_largest_edges=(self.second_largest_edges
+                                  + other.second_largest_edges))
 
 
 def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
@@ -349,16 +350,41 @@ def sample_batch(seq: DegreeSequence, sampler: str, count: int,
     raise ValueError(f"unknown sampler {sampler!r}")
 
 
-def _census_batch_job(args) -> Tuple[int, _Tally]:
-    (degrees, seed, index, count, sampler, steps, max_attempts,
-     threshold) = args
+def _census_batch_job(args) -> _Tally:
+    degrees, seed, index, count, sampler, steps, max_attempts = args
     seq = DegreeSequence(degrees)
     lo, hi, attempts = sample_batch(seq, sampler, count,
                                     substream(seed, index), steps,
                                     max_attempts)
-    tally = _batch_census(seq, lo, hi, threshold)
+    tally = _batch_census(seq, lo, hi, large_component_threshold(seq.m))
     tally.attempts = int(attempts)
-    return index, tally
+    return tally
+
+
+def _census_tallies(runs: Sequence[Tuple[DegreeSequence, int]], trials: int,
+                    sampler: str, steps: Optional[int], threads: int,
+                    batch_size: int, max_attempts: int) -> List[_Tally]:
+    """One _Tally per (sequence, seed) run of `trials` graphs, batch b drawn
+    from substream(seed, b).  Every run's batches go to one map on
+    min(threads, batches, CPUs) worker processes (serial at 1) and merge in
+    batch order, so the tallies are identical at any thread count."""
+    for seq, _ in runs:
+        validate_sequence(seq.degrees)
+    if trials < 1:
+        raise TrialsTooFew("trials must be >= 1")
+    ranges = list(batch_ranges(trials, batch_size))
+    jobs = [(tuple(seq.degrees), seed, b, stop - start, sampler,
+             chain_steps(steps, seq.m), max_attempts)
+            for seq, seed in runs for b, start, stop in ranges]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tallies = list(pool.map(_census_batch_job, jobs, chunksize=1))
+    else:
+        tallies = [_census_batch_job(job) for job in jobs]
+    k = len(ranges)
+    return [reduce(_Tally.merge, tallies[r * k:(r + 1) * k], _Tally())
+            for r in range(len(runs))]
 
 
 @dataclass
@@ -435,38 +461,13 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
                            steps: Optional[int] = None,
                            threads: int = 1,
                            batch_size: int = BATCH_SIZE,
-                           max_attempts: int = 10**6,
-                           pool: Optional[ProcessPoolExecutor] = None
+                           max_attempts: int = DEFAULT_MAX_ATTEMPTS
                            ) -> CensusReport:
-    """Monte Carlo disconnection estimate with full component taxonomy.
-
-    Workers own whole batches (seeded by batch index) and tallies merge in
-    batch order, so the report is identical at any thread count.  The
-    batches run on `pool` when one is given (threads is then not read);
-    otherwise at most min(threads, batches, CPUs) worker processes run in
-    a pool of their own, and one means no pool.
-    """
-    validate_sequence(seq.degrees)
-    if trials < 1:
-        raise TrialsTooFew("trials must be >= 1")
+    """Monte Carlo disconnection estimate with full component taxonomy, one
+    _census_tallies run, so the report is identical at any thread count."""
+    total, = _census_tallies([(seq, seed)], trials, sampler, steps, threads,
+                             batch_size, max_attempts)
     steps = chain_steps(steps, seq.m)
-    threshold = large_component_threshold(seq.m)
-    jobs = [(tuple(seq.degrees), seed, b, stop - start, sampler, steps,
-             max_attempts, threshold)
-            for b, start, stop in batch_ranges(trials, batch_size)]
-    max_workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if pool is not None:
-        results = list(pool.map(_census_batch_job, jobs, chunksize=1))
-    elif max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as own:
-            results = list(own.map(_census_batch_job, jobs, chunksize=1))
-    else:
-        results = [_census_batch_job(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    total = _Tally()
-    for _, tally in results:
-        total = total.merge(tally)
-
     inv = compute_invariants(seq)
     bound = theorem1_bound(inv)
     p_hat = total.disconnected / trials
@@ -479,7 +480,7 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
         clopper_pearson_95=clopper_pearson_interval(total.disconnected, trials),
         taxonomy=total.taxonomy, components_total=total.components,
         attempts=total.attempts, two_large=total.two_large,
-        large_threshold=threshold,
+        large_threshold=large_component_threshold(seq.m),
         second_largest_edges=dict(sorted(total.second_largest_edges.items())),
         invariants=inv, bound=bound, ratio_to_bound=ratio)
 
@@ -502,19 +503,16 @@ def exact_multigraph_edge_component_mean(seq: DegreeSequence) -> Fraction:
 
 
 def multigraph_edge_component_stats(seq: DegreeSequence, trials: int,
-                                    seed: int,
-                                    batch_size: int = 4096) -> Dict[str, object]:
+                                    seed: int) -> Dict[str, object]:
     """Mean (and standard error) of the two-leaf component count over
     unconditioned uniform matchings, sampled in seeded batches."""
     if trials < 1:
         raise TrialsTooFew("trials must be >= 1")
-    deg = np.asarray(seq.degrees)
-    owner = np.repeat(np.arange(1, seq.n + 1), seq.degrees)
-    leaf_of_half_edge = (deg == 1)[owner - 1]
+    leaf_of_half_edge = (np.asarray(seq.degrees) == 1)[owner_array(seq) - 1]
     s = 0
     s2 = 0
     hist: Counter = Counter()
-    for b, start, stop in batch_ranges(trials, batch_size):
+    for b, start, stop in batch_ranges(trials, _MULTIGRAPH_BATCH_SIZE):
         rng = substream(seed, b)
         rows = stop - start
         perm = np.argsort(rng.random((rows, 2 * seq.m)), axis=1)
@@ -584,36 +582,31 @@ def tightness_experiment(family: Callable[[int], DegreeSequence],
                          batch_size: int = BATCH_SIZE) -> TightnessTable:
     """Empirical small-component means against their closed-form bounds
     across a growing family.  Sequences violating the neighbor-degree-sum
-    condition d_star <= m/3 are flagged rather than rejected.  Every size
-    runs on one process pool of min(threads, batches per size, CPUs)
-    workers, none when that is 1."""
-    workers = min(threads, -(-trials // batch_size), os.cpu_count() or 1)
+    condition d_star <= m/3 are flagged rather than rejected.  Size number
+    idx is censused under the seed SeedSequence((seed, 777, idx)), and the
+    batches of every size go to one _census_tallies map."""
+    seqs = [family(size) for size in sizes]
+    runs = [(seq, int(np.random.SeedSequence((seed & (2**64 - 1), 777, idx))
+                      .generate_state(1, np.uint64)[0]))
+            for idx, seq in enumerate(seqs)]
+    tallies = _census_tallies(runs, trials, sampler, None, threads,
+                              batch_size, DEFAULT_MAX_ATTEMPTS)
     rows: List[TightnessRow] = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        for idx, size in enumerate(sizes):
-            seq = family(size)
-            validate_sequence(seq.degrees)
-            child = int(np.random.SeedSequence(
-                (seed & (2**64 - 1), 777, idx)).generate_state(1, np.uint64)[0])
-            report = estimate_disconnection(seq, trials, child,
-                                            sampler=sampler, threads=threads,
-                                            batch_size=batch_size, pool=pool)
-            inv = report.invariants
-            means = report.taxonomy_means()
-            ok = inv.d_star <= Fraction(seq.m, 3)
-            for cls, u_name in CLASS_INVARIANT_PAIRS:
-                u = getattr(inv, u_name)
-                mean = means.get(cls, 0.0)
-                if u > 0:
-                    ratio: Optional[float] = mean / float(u)
-                elif mean == 0.0:
-                    ratio = None  # 0/0: class impossible and bound vacuous
-                else:
-                    ratio = math.inf
-                rows.append(TightnessRow(size=size, n=seq.n, m=seq.m,
-                                         d_star_ok=ok, cls=cls,
-                                         empirical_mean=mean,
-                                         u_value=float(u), ratio=ratio))
+    for size, seq, tally in zip(sizes, seqs, tallies):
+        inv = compute_invariants(seq)
+        ok = inv.d_star <= Fraction(seq.m, 3)
+        for cls, u_name in CLASS_INVARIANT_PAIRS:
+            u = getattr(inv, u_name)
+            mean = tally.taxonomy.counts[cls] / trials
+            if u > 0:
+                ratio: Optional[float] = mean / float(u)
+            elif mean == 0.0:
+                ratio = None  # 0/0: class impossible and bound vacuous
+            else:
+                ratio = math.inf
+            rows.append(TightnessRow(size=size, n=seq.n, m=seq.m,
+                                     d_star_ok=ok, cls=cls,
+                                     empirical_mean=mean,
+                                     u_value=float(u), ratio=ratio))
     return TightnessTable(family=family_name, trials=trials, seed=seed,
                           sampler=sampler, rows=tuple(rows))

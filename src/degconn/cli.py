@@ -21,23 +21,23 @@ from . import census as census_mod
 from . import families
 from .degseq import (DegreeSequence, compute_invariants, load_sequence_file,
                      parse_sequence_text, theorem1_bound)
-from .errors import DegconnError, InfeasibleFamily
+from .errors import DegconnError, InfeasibleFamily, TrialsTooFew
 from .explore import explore_revealing
-from .sampler import default_chain_steps
+from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps
 from .streams import BATCH_SIZE, batch_ranges, substream
 
 SCHEMA_VERSION = census_mod.SCHEMA_VERSION
 
 
-class _UsageError(Exception):
-    pass
+class UsageError(DegconnError):
+    """Bad command-line input (exit 1)."""
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the harness reserves 2 for infeasible
     # input, so usage problems are rethrown and mapped to exit 1
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _parse_family(spec: str) -> DegreeSequence:
@@ -48,11 +48,11 @@ def _parse_family(spec: str) -> DegreeSequence:
         for item in rest.split(","):
             key, _, val = item.partition("=")
             if not key or not val:
-                raise _UsageError(f"bad family parameter {item!r}")
+                raise UsageError(f"bad family parameter {item!r}")
             try:
                 params[key.strip()] = int(val)
             except ValueError:
-                raise _UsageError(f"family parameter {item!r} is not an integer")
+                raise UsageError(f"family parameter {item!r} is not an integer")
     return families.family_from_args(name.strip(), params)
 
 
@@ -63,7 +63,7 @@ def _resolve_sequence(args) -> DegreeSequence:
         return DegreeSequence(load_sequence_file(args.seq_file))
     if args.family is not None:
         return _parse_family(args.family)
-    raise _UsageError("one of --seq, --seq-file, --family is required")
+    raise UsageError("one of --seq, --seq-file, --family is required")
 
 
 def _resolve_sampler(choice: str, seq: DegreeSequence) -> str:
@@ -136,17 +136,15 @@ def cmd_check(args) -> int:
 def cmd_sample(args) -> int:
     seq = _resolve_sequence(args)
     sampler = _resolve_sampler(args.sampler, seq)
-    steps = args.steps
-    if sampler == "switch-chain" and steps is None:
-        steps = default_chain_steps(seq.m)
+    steps = (chain_steps(args.steps, seq.m) if sampler == "switch-chain"
+             else args.steps)
     graphs: List[List[List[int]]] = []
     for b, start, stop in batch_ranges(args.trials, BATCH_SIZE):
         lo, hi, _ = census_mod.sample_batch(seq, sampler, stop - start,
                                             substream(args.seed, b), steps,
                                             args.max_attempts)
-        for r in range(lo.shape[0]):
-            graphs.append([[int(a), int(b)]
-                           for a, b in zip(lo[r], hi[r])])
+        graphs += [[[a, b] for a, b in zip(row_lo, row_hi)]
+                   for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
     if args.format == "json":
         payload = {
             "config": _config_dict(args, "sample", seq, resolved_sampler=sampler,
@@ -169,13 +167,15 @@ def cmd_explore(args) -> int:
                                       ("--max-attempts", args.max_attempts))
              if value is not None]
     if args.mode == "multigraph" and given:
-        raise _UsageError(f"explore --mode multigraph does not take "
-                          f"{' or '.join(given)}")
+        raise UsageError(f"explore --mode multigraph does not take "
+                         f"{' or '.join(given)}")
     if args.sampler is None:
         args.sampler = "auto"
     if args.max_attempts is None:
-        args.max_attempts = 10**6
+        args.max_attempts = DEFAULT_MAX_ATTEMPTS
     seq = _resolve_sequence(args)
+    if not 1 <= args.start <= seq.n:
+        raise UsageError(f"--start must be in 1..{seq.n}, got {args.start}")
     trace, graph = explore_revealing(
         seq, substream(args.seed, 0), args.start, mode=args.mode,
         sampler=_resolve_sampler(args.sampler, seq),
@@ -238,13 +238,17 @@ def cmd_oracle(args) -> int:
 
 def cmd_tightness(args) -> int:
     if args.family is None:
-        raise _UsageError("tightness requires --family")
+        raise UsageError("tightness requires --family")
     name = args.family.partition(":")[0]
     if name not in families.TIGHTNESS_FAMILIES:
         raise InfeasibleFamily(f"no tightness family {name!r}; choose from "
                                f"{sorted(families.TIGHTNESS_FAMILIES)}")
     family = families.TIGHTNESS_FAMILIES[name]
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes takes comma-separated integers, "
+                         f"got {args.sizes!r}")
     # one sampler per table: the chain when any size needs it
     resolved = {_resolve_sampler(args.sampler, family(s)) for s in sizes}
     sampler = "switch-chain" if "switch-chain" in resolved else resolved.pop()
@@ -278,7 +282,7 @@ def build_parser() -> _Parser:
         "--steps": dict(type=int, default=None,
                         help="switch-chain step override"),
         "--threads": dict(type=int, default=1),
-        "--max-attempts": dict(type=int, default=10**6),
+        "--max-attempts": dict(type=int, default=DEFAULT_MAX_ATTEMPTS),
     }
 
     def add_run_flags(p, *names):
@@ -339,24 +343,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        for flag in ("threads", "max_attempts"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, "
+                                 f"got {value}")
+        if getattr(args, "trials", 1) < 1:
+            raise TrialsTooFew("trials must be >= 1")
         return _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
     except DegconnError as exc:
         if getattr(args, "error_json", False):
             sys.stdout.write(_dump_json(
                 {"error": {"type": type(exc).__name__, "message": str(exc),
                            "exit_code": exc.exit_code}}))
         else:
-            sys.stderr.write(f"error: {exc}\n")
+            kind = "usage error" if isinstance(exc, UsageError) else "error"
+            sys.stderr.write(f"{kind}: {exc}\n")
         return exc.exit_code
 
 

@@ -24,7 +24,8 @@ import heapq
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -123,70 +124,75 @@ def truncated_increment(record: IterationRecord, m: int,
                    big_step_fraction)
 
 
-def _walk(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
-          start: int, m: int) -> ExplorationTrace:
-    """The exploration walk from `start`.  partners[v] lists the far end of
-    each of v's edges in exposure order, with v itself once per loop
-    half-edge; degree(u) is u's degree and m the edge count."""
+def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
+           starts: Iterable[int], m: int) -> Iterator[ExplorationTrace]:
+    """The exploration walk from each of `starts` that no earlier walk
+    reached.  partners[v] lists the far end of each of v's edges in exposure
+    order, with v itself once per loop half-edge; degree(u) is u's degree
+    and m the edge count.  Components are disjoint, so the walks share one
+    set of per-vertex arrays."""
     n = len(partners) - 1
     open_ = [0] * (n + 1)
     in_tree = [False] * (n + 1)
     selected = [False] * (n + 1)
-    X = open_[start] = degree(start)
-    in_tree[start] = True
-    tree = [start]
-    heap = [(X, start)]
     cutoff = small_degree_cutoff(m)
-    records: List[IterationRecord] = []
-    while X > 0:
-        # lazy deletion: entries whose count went stale are dropped
-        d_i, v = heapq.heappop(heap)
-        while open_[v] != d_i:
+    for start in starts:
+        if not 1 <= start <= n:
+            raise ValueError(f"start {start} out of range")
+        if in_tree[start]:
+            continue
+        X = open_[start] = degree(start)
+        in_tree[start] = True
+        tree = [start]
+        heap = [(X, start)]
+        records: List[IterationRecord] = []
+        while X > 0:
+            # lazy deletion: entries whose count went stale are dropped
             d_i, v = heapq.heappop(heap)
-        x_prev = X
-        J = K = L = 0
-        newv: List[Tuple[int, int]] = []
-        for u in partners[v]:
-            if selected[u]:
-                continue  # exposed when u was selected
-            if u == v:
-                L += 1  # one half-edge of a loop
-                X -= 1
-            elif in_tree[u]:
-                L += 1
-                X -= 2
-                open_[u] -= 1
-                if open_[u]:
-                    heapq.heappush(heap, (open_[u], u))
-            else:
-                du = degree(u)
-                in_tree[u] = True
-                tree.append(u)
-                if du == 1:
-                    J += 1
-                elif du == 2:
-                    K += 1
-                X += du - 2
-                open_[u] = du - 1
-                if du > 1:
-                    heapq.heappush(heap, (du - 1, u))
-                newv.append((u, du))
-        selected[v] = True
-        open_[v] = 0
-        records.append(IterationRecord(
-            i=len(records) + 1, v=v, d_i=d_i, J=J, K=K, L=L, X=X,
-            x_prev=x_prev, X_star=_x_star(d_i, X - x_prev, cutoff),
-            new_vertices=tuple(newv)))
-    return ExplorationTrace(start=start, records=tuple(records),
-                            component=frozenset(tree),
-                            died_at=len(records), m=m)
+            while open_[v] != d_i:
+                d_i, v = heapq.heappop(heap)
+            x_prev = X
+            J = K = L = 0
+            newv: List[Tuple[int, int]] = []
+            for u in partners[v]:
+                if selected[u]:
+                    continue  # exposed when u was selected
+                if u == v:
+                    L += 1  # one half-edge of a loop
+                    X -= 1
+                elif in_tree[u]:
+                    L += 1
+                    X -= 2
+                    open_[u] -= 1
+                    if open_[u]:
+                        heapq.heappush(heap, (open_[u], u))
+                else:
+                    du = degree(u)
+                    in_tree[u] = True
+                    tree.append(u)
+                    if du == 1:
+                        J += 1
+                    elif du == 2:
+                        K += 1
+                    X += du - 2
+                    open_[u] = du - 1
+                    if du > 1:
+                        heapq.heappush(heap, (du - 1, u))
+                    newv.append((u, du))
+            selected[v] = True
+            open_[v] = 0
+            records.append(IterationRecord(
+                i=len(records) + 1, v=v, d_i=d_i, J=J, K=K, L=L, X=X,
+                x_prev=x_prev, X_star=_x_star(d_i, X - x_prev, cutoff),
+                new_vertices=tuple(newv)))
+        yield ExplorationTrace(start=start, records=tuple(records),
+                               component=frozenset(tree),
+                               died_at=len(records), m=m)
 
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:
     """Deterministic exploration replay on a fixed simple graph."""
-    if not 1 <= start <= g.n:
-        raise ValueError(f"start {start} out of range")
-    return _walk(g.adj, g.degree, start, g.m)
+    return next(_walks(g.adj, g.degree, [start], g.m))
 
 
 def explore_matching(seq: DegreeSequence, matching: Matching,
@@ -196,13 +202,11 @@ def explore_matching(seq: DegreeSequence, matching: Matching,
     each half-edge of a loop counts 1 toward L_i."""
     if not matching.is_full:
         raise ValueError("explore_matching needs a full matching")
-    if not 1 <= start <= seq.n:
-        raise ValueError(f"start {start} out of range")
     far = owner_array(seq)[matching.partner].tolist()
     offsets = seq.half_edge_offsets
     partners = [[]] + [far[offsets[v - 1]:offsets[v]]
                        for v in range(1, seq.n + 1)]
-    return _walk(partners, seq.degree, start, seq.m)
+    return next(_walks(partners, seq.degree, [start], seq.m))
 
 
 def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
@@ -236,16 +240,7 @@ def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
 def explore_components(g: SimpleGraph) -> List[ExplorationTrace]:
     """Explore from every not-yet-reached vertex (ascending label); the trace
     components partition 1..n."""
-    seen = [False] * (g.n + 1)
-    traces = []
-    for v in range(1, g.n + 1):
-        if seen[v]:
-            continue
-        tr = explore(g, v)
-        for u in tr.component:
-            seen[u] = True
-        traces.append(tr)
-    return traces
+    return list(_walks(g.adj, g.degree, range(1, g.n + 1), g.m))
 
 
 def check_trace(trace: ExplorationTrace, simple: bool = True) -> List[str]:

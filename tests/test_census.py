@@ -189,9 +189,10 @@ def test_thread_count_does_not_change_report():
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs the jobs
-    in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the job
+    count of each map, runs the jobs in process."""
     workers = []
+    maps = []
 
     def __init__(self, max_workers):
         RecordingPool.workers.append(max_workers)
@@ -203,6 +204,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, jobs, chunksize=1):
+        jobs = list(jobs)
+        RecordingPool.maps.append(len(jobs))
         return map(fn, jobs)
 
 
@@ -229,6 +232,7 @@ def test_tightness_experiment_opens_one_pool(monkeypatch):
     monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 8)
     RecordingPool.workers = []
+    RecordingPool.maps = []
     sizes = (10, 12, 14)
 
     def run(threads):
@@ -237,20 +241,43 @@ def test_tightness_experiment_opens_one_pool(monkeypatch):
                                     batch_size=100)
 
     pooled = run(2)
+    # every size's three batches go to one map: no barrier between sizes
     assert RecordingPool.workers == [2]
+    assert RecordingPool.maps == [9]
     assert pooled == run(1)
     assert RecordingPool.workers == [2]
+    assert RecordingPool.maps == [9]
 
 
-def test_import_leaves_scipy_stats_out():
+def test_tightness_experiment_of_no_sizes_is_empty():
+    table = tightness_experiment(lambda k: regular(3, k), sizes=(),
+                                 trials=100, seed=1, threads=2)
+    assert table.rows == ()
+    assert table.to_csv_text() == \
+        "size,n,m,d_star_ok,class,empirical_mean,u_value,ratio\n"
+
+
+def scipy_stats_loaded(code):
+    """Whether running `code` in a fresh interpreter imports scipy.stats."""
     src = str(Path(census_mod.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, degconn; print('scipy.stats' in sys.modules)"],
+         f"import sys\n{code}\nprint('scipy.stats' in sys.modules)"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    assert not scipy_stats_loaded("import degconn")
+
+
+def test_tightness_experiment_leaves_scipy_stats_out():
+    # the table needs no confidence interval
+    assert not scipy_stats_loaded(
+        "from degconn import families, tightness_experiment\n"
+        "tightness_experiment(families.twos_tenth_of_m, (60,), 50, 1)")
 
 
 def test_estimate_rejects_bad_trials():

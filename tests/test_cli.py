@@ -94,6 +94,31 @@ def test_infeasible_trials_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["tightness", "--family", "with-twos", "--sizes", ""], 1),
+    (["tightness", "--family", "with-twos", "--sizes", "60,,120"], 1),
+    (["tightness", "--family", "with-twos", "--sizes", "x"], 1),
+    (["explore", "--seq", "2 2 2", "--start", "0"], 1),
+    (["explore", "--seq", "2 2 2", "--start", "9"], 1),
+    (["sample", "--seq", "2 2 2", "--trials", "0"], 2),
+    (["sample", "--seq", "2 2 2", "--trials", "-2"], 2),
+    (["census", "--seq", "2 2 2", "--threads", "0"], 1),
+    (["tightness", "--family", "with-twos", "--sizes", "40",
+      "--threads", "-3"], 1),
+    (["census", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
+    (["sample", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
+    (["explore", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
+])
+def test_bad_run_values_fail_with_error_json(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv, "--error-json")
+    assert code == exit_code
+    assert err == ""
+    error = json.loads(out)["error"]
+    assert error["exit_code"] == exit_code
+    assert error["type"] == ("UsageError" if exit_code == 1
+                             else "TrialsTooFew")
+
+
 def test_sample_exhaustion_exits_3(capsys):
     code, _, err = run(capsys, "sample", "--seq", "2 2",
                        "--sampler", "rejection", "--max-attempts", "500")

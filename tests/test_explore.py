@@ -185,6 +185,19 @@ def test_explore_components_partitions():
     assert [sorted(t.component) for t in traces] == [[1, 2], [3, 4, 5], [6, 7]]
 
 
+def test_explore_components_replays_explore_per_component():
+    # the walks of one call share per-vertex state; each trace must still be
+    # the single-start walk
+    rng = substream(7, 0)
+    for seq in (with_leaves(12, 3, 40), DegreeSequence([1] * 40)):
+        lo, hi, _ = sample_batch(seq, "rejection", 1, rng)
+        g = SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))
+        traces = explore_components(g)
+        assert traces == [explore(g, t.start) for t in traces]
+        assert sorted(sorted(t.component) for t in traces) == \
+            connected_components(g)
+
+
 def test_checker_flags_corrupted_record():
     t = explore(K4, 1)
     good = check_trace(t)
