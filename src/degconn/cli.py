@@ -339,13 +339,25 @@ _HANDLERS = {
 }
 
 
+def _report_error(exc: DegconnError, as_json: bool) -> int:
+    if as_json:
+        sys.stdout.write(_dump_json(
+            {"error": {"type": type(exc).__name__, "message": str(exc),
+                       "exit_code": exc.exit_code}}))
+    else:
+        kind = "usage error" if isinstance(exc, UsageError) else "error"
+        sys.stderr.write(f"{kind}: {exc}\n")
+    return exc.exit_code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 1
+        # a failed parse sets no flags, so --error-json is read from argv
+        return _report_error(exc, "--error-json" in argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
@@ -359,14 +371,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise TrialsTooFew("trials must be >= 1")
         return _HANDLERS[args.command](args)
     except DegconnError as exc:
-        if getattr(args, "error_json", False):
-            sys.stdout.write(_dump_json(
-                {"error": {"type": type(exc).__name__, "message": str(exc),
-                           "exit_code": exc.exit_code}}))
-        else:
-            kind = "usage error" if isinstance(exc, UsageError) else "error"
-            sys.stderr.write(f"{kind}: {exc}\n")
-        return exc.exit_code
+        return _report_error(exc, getattr(args, "error_json", False))
 
 
 if __name__ == "__main__":

@@ -1,19 +1,25 @@
-"""Exact enumeration oracles over tiny degree sequences.
+"""Exact oracles over small degree sequences: enumeration and counting.
 
 Three independent routes into the same ground truth, used to cross-check each
 other and every sampler:
 
   * enumerate_realizations: every labeled simple graph with the degree vector,
     by pivot recursion on the lowest-labeled vertex with residual degree.
-  * count_realizations: the same count by a memoized multiset recursion,
-    without materializing graphs.
+  * ClassCounter: counts over degree-class vectors without materializing
+    graphs.  count_realizations is the max-degree recursion R(c), and
+    count_connectivity adds the connected count C(c) by inclusion-exclusion
+    on one vertex's component, and the component totals of every degree
+    multiset.  Its memos live for one call.
   * perfect matchings on half-edges: the configuration-model side, for
     matching-level expectations and conditional edge probabilities.
 
-Everything here is deliberately exhaustive.  The oracles built on it
-(conditional_edge_probability here, exact_connectivity_oracle and
-exact_multigraph_edge_component_mean in census) refuse a sequence with more
-than ENUMERATION_MAX_HALF_EDGES = 20 half-edges through check_enumerable.
+Which oracles count and which enumerate: exact_connectivity_oracle (in
+census) counts through count_connectivity; conditional_edge_probability here
+enumerates matchings; exact_multigraph_edge_component_mean (in census) is a
+closed form.  enumerate_realizations with census._tally_edge_lists stays the
+reference the tests hold the counting route to.  The first two refuse a
+sequence with more than ENUMERATION_MAX_HALF_EDGES = 20 half-edges through
+check_enumerable; counting would reach further, but the guard is unchanged.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .degseq import DegreeSequence, erdos_gallai
 from .errors import NotExtendable, TooLarge
@@ -93,53 +98,141 @@ def enumerate_realizations(degrees: Sequence[int]) -> Iterator[List[Tuple[int, i
     yield from rec(0)
 
 
-@lru_cache(maxsize=200000)
-def _count_realizations_sorted(ms: Tuple[int, ...]) -> int:
-    ms = tuple(x for x in ms if x > 0)
-    if not ms:
-        return 1
-    d0 = ms[0]
-    rest = ms[1:]
-    if d0 > len(rest):
-        return 0
-    # group the rest by degree value; choose how many neighbors to take from
-    # each class (all members of a class are interchangeable for counting)
-    vals: List[int] = []
-    mult: List[int] = []
-    for x in rest:
-        if vals and vals[-1] == x:
-            mult[-1] += 1
-        else:
-            vals.append(x)
-            mult.append(1)
-    total = 0
+def _class_vector(degrees: Sequence[int]) -> Tuple[int, ...]:
+    """The degree multiset as a class-count vector: c[d] is the number of
+    entries equal to d, for d = 0..max(degrees)."""
+    c = [0] * (max(degrees, default=0) + 1)
+    for d in degrees:
+        c[d] += 1
+    return tuple(c)
 
-    def pick(idx: int, need: int, ways: int, acc: List[int]):
-        nonlocal total
-        if need == 0:
-            tail = []
-            for j in range(idx, len(vals)):
-                tail.extend([vals[j]] * mult[j])
-            total += ways * _count_realizations_sorted(
-                tuple(sorted(acc + tail, reverse=True)))
-            return
-        if idx == len(vals):
-            return
-        v, c = vals[idx], mult[idx]
-        for k in range(min(c, need) + 1):
-            pick(idx + 1, need - k,
-                 ways * math.comb(c, k),
-                 acc + [v - 1] * k + [v] * (c - k))
 
-    pick(0, d0, 1, [])
-    return total
+class ClassCounter:
+    """Counting engine over degree-class vectors, with no enumeration.
+
+    A class vector c has c[d] vertices of degree d, d = 0..len(c)-1.  All
+    vertices of one class are interchangeable for counting, so the number of
+    labeled simple graphs realizing c, R(c), and the number of connected
+    ones, C(c), depend on c alone.  The memos live as long as the instance:
+    make one per computation.
+    """
+
+    def __init__(self) -> None:
+        self._realizations: Dict[Tuple[int, ...], int] = {}
+
+    def realizations(self, c: Tuple[int, ...]) -> int:
+        """R(c), by the max-degree recursion: a vertex of the highest
+        degree d takes k_j neighbors from each class j (binom(c_j, k_j)
+        ways, k summing to d), which then drop to class j - 1."""
+        memo = self._realizations
+        got = memo.get(c)
+        if got is not None:
+            return got
+        top = len(c) - 1
+        while top and not c[top]:
+            top -= 1
+        if not top:
+            memo[c] = 1
+            return 1
+        rest = list(c)
+        rest[top] -= 1
+        rest[0] = 0
+        below = list(itertools.accumulate(rest))  # below[d]: rest[1..d]
+        if below[top] < top:
+            memo[c] = 0
+            return 0
+        new = [0] * len(c)
+        total = 0
+
+        def pick(d: int, need: int, ways: int, carry: int) -> None:
+            # class d: keep rest[d] - k, gain the carry from class d + 1
+            nonlocal total
+            if not need:
+                new[d] = rest[d] + carry
+                new[1:d] = rest[1:d]
+                total += ways * self.realizations(tuple(new))
+                return
+            for k in range(max(0, need - below[d - 1]),
+                           min(rest[d], need) + 1):
+                new[d] = rest[d] - k + carry
+                pick(d - 1, need - k, ways * math.comb(rest[d], k), k)
+
+        pick(top, top, 1, 0)
+        memo[c] = total
+        return total
+
+    def connectivity(self, c: Tuple[int, ...]
+                     ) -> Tuple[int, int, Dict[Tuple[int, ...], int]]:
+        """(R(c), C(c), component totals) for the class vector c.
+
+        C comes from inclusion-exclusion on the component of one fixed
+        vertex v1: C(s) = R(s) - sum over sub-vectors t of s that contain
+        v1, t != s, of ways(t) C(t) R(s - t), where ways(t) chooses the
+        other members of t.  A sub-vector t <= s precedes s in the product
+        order, so one pass over the sub-vectors of c fills C.  The totals
+        map each component degree multiset (an ascending tuple) to its
+        number of components summed over all realizations of c:
+        prod binom(c_d, s_d) C(s) R(c - s).
+        """
+        classes = [d for d, k in enumerate(c) if k]
+        sizes = [c[d] for d in classes]
+        width = len(c)
+
+        def full(s: Sequence[int]) -> Tuple[int, ...]:
+            out = [0] * width
+            for d, k in zip(classes, s):
+                out[d] = k
+            return tuple(out)
+
+        def odd(s: Sequence[int]) -> bool:
+            return sum(d * k for d, k in zip(classes, s)) % 2 == 1
+
+        conn: Dict[Tuple[int, ...], int] = {}
+        for s in itertools.product(*(range(k + 1) for k in sizes)):
+            if not any(s) or odd(s):
+                continue
+            # v1 lies in the smallest class of s: fewest sub-vectors to sum
+            j0 = min((j for j, k in enumerate(s) if k), key=s.__getitem__)
+            ranges = [range(1 if j == j0 else 0, k + 1)
+                      for j, k in enumerate(s)]
+            value = self.realizations(full(s))
+            for t in itertools.product(*ranges):
+                ct = conn.get(t)
+                if not ct or t == s:
+                    continue
+                ways = math.comb(s[j0] - 1, t[j0] - 1)
+                for j, (a, b) in enumerate(zip(s, t)):
+                    if j != j0:
+                        ways *= math.comb(a, b)
+                value -= ways * ct * self.realizations(
+                    full([a - b for a, b in zip(s, t)]))
+            if value:
+                conn[s] = value
+        totals: Dict[Tuple[int, ...], int] = {}
+        for s, cs in conn.items():
+            k = cs * self.realizations(
+                full([a - b for a, b in zip(sizes, s)]))
+            if k:
+                for a, b in zip(sizes, s):
+                    k *= math.comb(a, b)
+                totals[tuple(d for d, b in zip(classes, s)
+                             for _ in range(b))] = k
+        return (self.realizations(c), conn.get(tuple(sizes), 0), totals)
 
 
 def count_realizations(degrees: Sequence[int]) -> int:
     """Number of labeled simple graphs realizing the degree multiset."""
-    if sum(degrees) % 2:
+    if sum(degrees) % 2 or any(d < 0 for d in degrees):
         return 0
-    return _count_realizations_sorted(tuple(sorted(degrees, reverse=True)))
+    return ClassCounter().realizations(_class_vector(degrees))
+
+
+def count_connectivity(degrees: Sequence[int]
+                       ) -> Tuple[int, int, Dict[Tuple[int, ...], int]]:
+    """(realizations, connected realizations, component totals) of a
+    nonnegative degree multiset, counted over class vectors by
+    ClassCounter.connectivity, which also describes the totals."""
+    return ClassCounter().connectivity(_class_vector(degrees))
 
 
 def graphical_multisets(max_half_edges: int) -> List[Tuple[int, ...]]:

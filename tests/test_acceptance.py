@@ -31,7 +31,8 @@ from degconn import (DegreeSequence, InvalidSwitch, Matching, SimpleGraph,
 from degconn import families
 from degconn.census import multigraph_edge_component_stats
 from degconn.cli import main as cli_main
-from degconn.exact import enumerate_realizations, graphical_multisets
+from degconn.exact import (count_realizations, enumerate_realizations,
+                           graphical_multisets)
 from degconn.sampler import switch_chain_batch
 from degconn.streams import substream
 
@@ -97,6 +98,7 @@ def test_01_sampler_uniformity_exhaustive():
         sorted_h = np.sort(_realization_hashes(degrees))
         k = int(sorted_h.size)
         assert k > 0
+        assert k == count_realizations(degrees), degrees
         # the hash must be injective here for counts to mean anything
         assert int(np.unique(sorted_h).size) == k, degrees
         total_graphs += k

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degconn import (ComponentTaxonomy, DegreeSequence, Matching, SimpleGraph,
                      TooLarge, TrialsTooFew, classify_component,
@@ -19,11 +21,14 @@ from degconn import (ComponentTaxonomy, DegreeSequence, Matching, SimpleGraph,
                      tightness_experiment)
 from degconn import census as census_mod
 from degconn.census import (_NAMED_SIGNATURES, _batch_census,
-                            clopper_pearson_interval,
+                            _tally_edge_lists, clopper_pearson_interval,
                             exact_multigraph_edge_component_mean,
                             large_component_threshold,
                             multigraph_edge_component_stats, wilson_interval)
+from degconn.exact import (enumerate_realizations, graphical_multisets,
+                           iter_matching_extensions)
 from degconn.families import regular, star, two_stars, with_leaves
+from degconn.graphs import half_edge_owner
 from degconn.streams import substream
 
 
@@ -124,11 +129,41 @@ def test_oracle_and_census_share_component_keys(degrees, whole):
     assert whole in census_keys
 
 
+def _enumerated_oracle(degrees):
+    """(P(connected), realization count, taxonomy totals) by enumerating
+    every realization: the reference for the counting oracle."""
+    total, connected, tax = _tally_edge_lists(
+        len(degrees), degrees, enumerate_realizations(degrees))
+    return Fraction(connected, total), total, tax.counts
+
+
+def _counted_oracle(degrees):
+    o = exact_connectivity_oracle(DegreeSequence(degrees))
+    return (o.probability_connected, o.realization_count,
+            o.taxonomy_totals.counts)
+
+
+def test_counting_oracle_equals_enumeration():
+    seqs = graphical_multisets(14)
+    assert len(seqs) == 119
+    for degrees in seqs:
+        assert _counted_oracle(degrees) == _enumerated_oracle(degrees), degrees
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(graphical_multisets(12)), st.randoms())
+def test_counting_oracle_is_invariant_under_relabelling(degrees, rnd):
+    shuffled = list(degrees)
+    rnd.shuffle(shuffled)
+    got = _counted_oracle(shuffled)
+    assert got == _counted_oracle(list(degrees))
+    assert got == _enumerated_oracle(shuffled)
+
+
 def test_oracle_guards():
     big = DegreeSequence([2] * 11)
     messages = set()
     for oracle in (exact_connectivity_oracle,
-                   exact_multigraph_edge_component_mean,
                    lambda s: conditional_edge_probability(
                        s, Matching.empty(s), 0, 2)):
         with pytest.raises(TooLarge) as err:
@@ -257,12 +292,12 @@ def test_tightness_experiment_of_no_sizes_is_empty():
         "size,n,m,d_star_ok,class,empirical_mean,u_value,ratio\n"
 
 
-def scipy_stats_loaded(code):
-    """Whether running `code` in a fresh interpreter imports scipy.stats."""
+def scipy_loaded(code, module="scipy.stats"):
+    """Whether running `code` in a fresh interpreter imports `module`."""
     src = str(Path(census_mod.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         f"import sys\n{code}\nprint('scipy.stats' in sys.modules)"],
+         f"import sys\n{code}\nprint({module!r} in sys.modules)"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
@@ -270,14 +305,22 @@ def scipy_stats_loaded(code):
 
 
 def test_import_leaves_scipy_stats_out():
-    assert not scipy_stats_loaded("import degconn")
+    assert not scipy_loaded("import degconn")
 
 
 def test_tightness_experiment_leaves_scipy_stats_out():
     # the table needs no confidence interval
-    assert not scipy_stats_loaded(
+    assert not scipy_loaded(
         "from degconn import families, tightness_experiment\n"
         "tightness_experiment(families.twos_tenth_of_m, (60,), 50, 1)")
+
+
+def test_oracle_leaves_scipy_sparse_out():
+    # only the batch census needs scipy.sparse
+    assert not scipy_loaded(
+        "from degconn import DegreeSequence, exact_connectivity_oracle\n"
+        "exact_connectivity_oracle(DegreeSequence([1, 1, 2, 2, 2]))",
+        "scipy.sparse")
 
 
 def test_estimate_rejects_bad_trials():
@@ -323,18 +366,38 @@ def test_interval_functions():
         wilson_interval(1, 0)
 
 
+def _enumerated_multigraph_edge_component_mean(seq):
+    """Mean number of two-leaf components over every perfect matching of
+    the half-edges: the reference for the closed form."""
+    leaf = [seq.degree(v) == 1 for v in range(1, seq.n + 1)]
+    total = 0
+    count = 0
+    for matching in iter_matching_extensions(seq, Matching.empty(seq)):
+        count += 1
+        for a, b in matching.pairs():
+            u = half_edge_owner(seq, a)
+            w = half_edge_owner(seq, b)
+            if u != w and leaf[u - 1] and leaf[w - 1]:
+                total += 1
+    return Fraction(total, count)
+
+
 def test_multigraph_edge_component_exact_means():
     cases = {
         (1, 1, 1, 1): Fraction(2, 1),
         (1, 1, 2, 2): Fraction(1, 5),
         (1, 1, 1, 1, 2, 2): Fraction(6, 7),
         (1, 1, 2, 3, 3): Fraction(1, 9),
+        # 2m = 320, far past the enumeration limit: 20*19/2 pairs / 319
+        (1,) * 20 + (3,) * 100: Fraction(190, 319),
     }
     for degs, want in cases.items():
         assert exact_multigraph_edge_component_mean(
             DegreeSequence(list(degs))) == want
-    with pytest.raises(TooLarge):
-        exact_multigraph_edge_component_mean(DegreeSequence([2] * 11))
+    for degs in graphical_multisets(12):
+        seq = DegreeSequence(list(degs))
+        assert (exact_multigraph_edge_component_mean(seq)
+                == _enumerated_multigraph_edge_component_mean(seq)), degs
 
 
 def test_multigraph_edge_component_stats_match_exact():

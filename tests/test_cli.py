@@ -108,6 +108,10 @@ def test_infeasible_trials_exit_2(capsys):
     (["census", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
     (["sample", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
     (["explore", "--seq", "2 2 2", "--max-attempts", "-1"], 1),
+    # argparse's own failures, before any flag is set
+    (["census", "--seq", "2 2", "--threads", "x"], 1),
+    (["census", "--seq", "2 2", "--sampler", "nope"], 1),
+    (["oracle", "--seq", "2 2", "--trials", "5"], 1),
 ])
 def test_bad_run_values_fail_with_error_json(capsys, argv, exit_code):
     code, out, err = run(capsys, *argv, "--error-json")
