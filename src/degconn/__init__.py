@@ -16,8 +16,8 @@ from .exact import conditional_edge_probability
 from .explore import (ExplorationTrace, IterationRecord, check_trace,
                       explore, explore_components, explore_matching,
                       explore_revealing, truncated_increment)
-from .graphs import (HalfEdge, Matching, MultiGraph, SimpleGraph,
-                     half_edge, half_edge_owner, matching_to_multigraph)
+from .graphs import (Matching, MultiGraph, SimpleGraph, half_edge,
+                     half_edge_owner, matching_to_multigraph)
 from .sampler import (default_chain_steps, havel_hakimi_construct,
                       random_matching, rejection_sample_batch, switching)
 
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AttemptsExhausted", "CensusReport", "ComponentTaxonomy",
     "ConnectivityOracle", "DegconnError", "DegreeSequence",
-    "ExplorationTrace", "HalfEdge", "InfeasibleFamily", "InvalidSwitch",
+    "ExplorationTrace", "InfeasibleFamily", "InvalidSwitch",
     "InvariantSet", "IterationRecord", "Matching", "MultiGraph",
     "NegativeDegree", "NotExtendable", "NotGraphical", "OddSum",
     "PartialMatching", "SequenceError", "SimpleGraph", "TooLarge",

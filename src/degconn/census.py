@@ -34,13 +34,13 @@ import numpy as np
 
 from .degseq import (DegreeSequence, InvariantSet, compute_invariants,
                      theorem1_bound, validate_sequence)
-from .errors import TrialsTooFew
+from .errors import NotGraphical, TrialsTooFew
 from .exact import check_enumerable, count_connectivity
 # No code here calls enumerate_realizations; perfbench's traced run wraps
 # census.enumerate_realizations by name on every workload.
 from .exact import enumerate_realizations  # noqa: F401
-from .graphs import SimpleGraph
-from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps, owner_array,
+from .graphs import SimpleGraph, owner_array
+from .sampler import (DEFAULT_MAX_ATTEMPTS, _pairing_keys, chain_steps,
                       rejection_sample_batch, switch_chain_batch)
 from .streams import BATCH_SIZE, batch_ranges, substream
 
@@ -354,8 +354,11 @@ def sample_batch(seq: DegreeSequence, sampler: str, count: int,
     "switch-chain") as (lo, hi, attempts): (count, m) endpoint arrays,
     1-indexed with lo < hi, and the matchings drawn (the chain counts one
     per graph).  A single graph is a batch of one.  Only the chain reads
-    `steps`, but a negative count raises DegconnError for either sampler."""
+    `steps`, but a negative count raises DegconnError, and a non-graphical
+    sequence NotGraphical before any draw, for either sampler."""
     steps = chain_steps(steps, seq.m)
+    if not seq.graphical:
+        raise NotGraphical(f"{seq.degrees} fails the Erdos-Gallai criterion")
     if sampler == "rejection":
         return rejection_sample_batch(seq, count, rng, max_attempts)
     if sampler == "switch-chain":
@@ -377,16 +380,16 @@ def _census_batch_job(args) -> _Tally:
 
 def _census_tallies(runs: Sequence[Tuple[DegreeSequence, int]], trials: int,
                     sampler: str, steps: Optional[int], threads: int,
-                    batch_size: int, max_attempts: int) -> List[_Tally]:
-    """One _Tally per (sequence, seed) run of `trials` graphs, batch b drawn
-    from substream(seed, b).  Every run's batches go to one map on
-    min(threads, batches, CPUs) worker processes (serial at 1) and merge in
-    batch order, so the tallies are identical at any thread count."""
+                    max_attempts: int) -> List[_Tally]:
+    """One _Tally per (sequence, seed) run of `trials` graphs, batch b of
+    BATCH_SIZE drawn from substream(seed, b).  Every run's batches go to one
+    map on min(threads, batches, CPUs) worker processes (serial at 1) and
+    merge in batch order, so the tallies are identical at any thread count."""
     for seq, _ in runs:
         validate_sequence(seq.degrees)
     if trials < 1:
         raise TrialsTooFew("trials must be >= 1")
-    ranges = list(batch_ranges(trials, batch_size))
+    ranges = list(batch_ranges(trials, BATCH_SIZE))
     jobs = [(tuple(seq.degrees), seed, b, stop - start, sampler,
              chain_steps(steps, seq.m), max_attempts)
             for seq, seed in runs for b, start, stop in ranges]
@@ -477,13 +480,12 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
                            sampler: str = "rejection",
                            steps: Optional[int] = None,
                            threads: int = 1,
-                           batch_size: int = BATCH_SIZE,
                            max_attempts: int = DEFAULT_MAX_ATTEMPTS
                            ) -> CensusReport:
     """Monte Carlo disconnection estimate with full component taxonomy, one
     _census_tallies run, so the report is identical at any thread count."""
     total, = _census_tallies([(seq, seed)], trials, sampler, steps, threads,
-                             batch_size, max_attempts)
+                             max_attempts)
     steps = chain_steps(steps, seq.m)
     inv = compute_invariants(seq)
     bound = theorem1_bound(inv)
@@ -492,7 +494,7 @@ def estimate_disconnection(seq: DegreeSequence, trials: int, seed: int,
     return CensusReport(
         degrees=tuple(seq.degrees), trials=trials, sampler=sampler,
         steps=steps if sampler == "switch-chain" else None, seed=seed,
-        batch_size=batch_size, disconnected=total.disconnected, p_hat=p_hat,
+        batch_size=BATCH_SIZE, disconnected=total.disconnected, p_hat=p_hat,
         wilson_95=wilson_interval(total.disconnected, trials),
         clopper_pearson_95=clopper_pearson_interval(total.disconnected, trials),
         taxonomy=total.taxonomy, components_total=total.components,
@@ -513,22 +515,21 @@ def exact_multigraph_edge_component_mean(seq: DegreeSequence) -> Fraction:
 def multigraph_edge_component_stats(seq: DegreeSequence, trials: int,
                                     seed: int) -> Dict[str, object]:
     """Mean (and standard error) of the two-leaf component count over
-    unconditioned uniform matchings, sampled in seeded batches."""
+    unconditioned uniform matchings.  Batch b is one _pairing_keys block of
+    _MULTIGRAPH_BATCH_SIZE rows from substream(seed, b), each half-edge
+    labelled by its owner's leaf flag (1 bit); ties are not rejected."""
     if trials < 1:
         raise TrialsTooFew("trials must be >= 1")
-    leaf_of_half_edge = (np.asarray(seq.degrees) == 1)[owner_array(seq) - 1]
+    leaf = (np.asarray(seq.degrees) == 1).astype(np.uint64)[
+        owner_array(seq) - 1]
     s = 0
     s2 = 0
     hist: Counter = Counter()
     for b, start, stop in batch_ranges(trials, _MULTIGRAPH_BATCH_SIZE):
-        rng = substream(seed, b)
-        rows = stop - start
-        perm = np.argsort(rng.random((rows, 2 * seq.m)), axis=1)
-        a = leaf_of_half_edge[perm[:, 0::2]]
-        c = leaf_of_half_edge[perm[:, 1::2]]
-        counts = (a & c).sum(axis=1)
+        keys = _pairing_keys(substream(seed, b), stop - start, leaf, 1)
+        counts = (keys[:, 0::2] & keys[:, 1::2] & 1).sum(axis=1)
         s += int(counts.sum())
-        s2 += int((counts.astype(np.int64) ** 2).sum())
+        s2 += int((counts ** 2).sum())
         for val, cnt in zip(*np.unique(counts, return_counts=True)):
             hist[int(val)] += int(cnt)
     mean = s / trials
@@ -586,8 +587,8 @@ class TightnessTable:
 def tightness_experiment(family: Callable[[int], DegreeSequence],
                          sizes: Sequence[int], trials: int, seed: int,
                          family_name: str = "custom",
-                         sampler: str = "rejection", threads: int = 1,
-                         batch_size: int = BATCH_SIZE) -> TightnessTable:
+                         sampler: str = "rejection",
+                         threads: int = 1) -> TightnessTable:
     """Empirical small-component means against their closed-form bounds
     across a growing family.  Sequences violating the neighbor-degree-sum
     condition d_star <= m/3 are flagged rather than rejected.  Size number
@@ -598,7 +599,7 @@ def tightness_experiment(family: Callable[[int], DegreeSequence],
                       .generate_state(1, np.uint64)[0]))
             for idx, seq in enumerate(seqs)]
     tallies = _census_tallies(runs, trials, sampler, None, threads,
-                              batch_size, DEFAULT_MAX_ATTEMPTS)
+                              DEFAULT_MAX_ATTEMPTS)
     rows: List[TightnessRow] = []
     for size, seq, tally in zip(sizes, seqs, tallies):
         inv = compute_invariants(seq)

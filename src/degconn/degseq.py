@@ -136,7 +136,7 @@ def validate_sequence(degrees: Iterable[int]) -> DegreeSequence:
 class InvariantSet:
     """The six u-invariants plus d_star and delta_star for one sequence.
 
-    u values are exact Fractions; float mirrors via floats()/to_json_dict().
+    u values are exact Fractions; to_json_dict() adds float mirrors.
     """
 
     FIELDS = ("u_edge", "u_triangle", "u_triangle_pendant",
@@ -155,9 +155,6 @@ class InvariantSet:
 
     def us(self) -> Dict[str, Fraction]:
         return {name: getattr(self, name) for name in self.FIELDS}
-
-    def floats(self) -> Dict[str, float]:
-        return {name: float(getattr(self, name)) for name in self.FIELDS}
 
     def to_json_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}

@@ -72,5 +72,5 @@ class NotExtendable(DegconnError):
 
 
 class TrialsTooFew(DegconnError):
-    """A requested confidence-interval width cannot be met at this trial count."""
+    """A trial count below 1 (census, sample, tightness, two-leaf statistics)."""
     exit_code = 2

@@ -9,7 +9,8 @@ other and every sampler:
     graphs.  count_realizations is the max-degree recursion R(c), and
     count_connectivity adds the connected count C(c) by inclusion-exclusion
     on one vertex's component, and the component totals of every degree
-    multiset.  Its memos live for one call.
+    multiset.  Its memos live for one call.  A sequence too long for the
+    interpreter's stack raises TooLarge, never RecursionError.
   * perfect matchings on half-edges: the configuration-model side, for
     matching-level expectations and conditional edge probabilities.
 
@@ -20,20 +21,25 @@ closed form.  enumerate_realizations with census._tally_edge_lists stays the
 reference the tests hold the counting route to.  The first two refuse a
 sequence with more than ENUMERATION_MAX_HALF_EDGES = 20 half-edges through
 check_enumerable; counting would reach further, but the guard is unchanged.
+conditional_edge_probability also refuses more than EXTENSION_MAX = (15)!!
+extensions: 20 free half-edges would take hours.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .degseq import DegreeSequence, erdos_gallai
 from .errors import NotExtendable, TooLarge
-from .graphs import UNMATCHED, HalfEdge, Matching, half_edge_owner
+from .graphs import UNMATCHED, Matching, half_edge_owner, owner_array
 
 ENUMERATION_MAX_HALF_EDGES = 20
+# most extensions conditional_edge_probability walks: (15)!!, 16 free half-edges
+EXTENSION_MAX = 2_027_025
 
 
 def check_enumerable(seq: DegreeSequence) -> None:
@@ -220,11 +226,21 @@ class ClassCounter:
         return (self.realizations(c), conn.get(tuple(sizes), 0), totals)
 
 
+def _counted(method, degrees: Sequence[int]):
+    """method(ClassCounter(), class vector of `degrees`), with TooLarge in
+    place of a RecursionError."""
+    try:
+        return method(ClassCounter(), _class_vector(degrees))
+    except RecursionError:
+        raise TooLarge(f"counting over {len(degrees)} vertices recurses past "
+                       f"the limit of {sys.getrecursionlimit()}") from None
+
+
 def count_realizations(degrees: Sequence[int]) -> int:
     """Number of labeled simple graphs realizing the degree multiset."""
     if sum(degrees) % 2 or any(d < 0 for d in degrees):
         return 0
-    return ClassCounter().realizations(_class_vector(degrees))
+    return _counted(ClassCounter.realizations, degrees)
 
 
 def count_connectivity(degrees: Sequence[int]
@@ -232,7 +248,7 @@ def count_connectivity(degrees: Sequence[int]
     """(realizations, connected realizations, component totals) of a
     nonnegative degree multiset, counted over class vectors by
     ClassCounter.connectivity, which also describes the totals."""
-    return ClassCounter().connectivity(_class_vector(degrees))
+    return _counted(ClassCounter.connectivity, degrees)
 
 
 def graphical_multisets(max_half_edges: int) -> List[Tuple[int, ...]]:
@@ -290,13 +306,13 @@ def iter_matching_extensions(seq: DegreeSequence,
         yield Matching(partner)
 
 
-def _matching_is_simple(seq: DegreeSequence, partner: Sequence[int]) -> bool:
+def _matching_is_simple(owner: Sequence[int], partner: Sequence[int]) -> bool:
+    """Whether a full matching projects to a simple graph (owner[h]: h's owner)."""
     seen = set()
     for h, p in enumerate(partner):
         if p < h:
             continue
-        u = half_edge_owner(seq, h)
-        v = half_edge_owner(seq, p)
+        u, v = owner[h], owner[p]
         if u == v:
             return False
         key = (u, v) if u < v else (v, u)
@@ -307,17 +323,22 @@ def _matching_is_simple(seq: DegreeSequence, partner: Sequence[int]) -> bool:
 
 
 def conditional_edge_probability(seq: DegreeSequence, partial: Matching,
-                                 hv, hw) -> Fraction:
+                                 hv: int, hw: int) -> Fraction:
     """Exact P(hv matched to hw | partial submatching, result simple).
 
-    hv and hw are global half-edge ids (HalfEdge objects also accepted).
-    Probability over uniformly random full matchings extending `partial`,
-    conditioned on the multigraph being simple.  Exhaustive, so guarded by
-    check_enumerable.
+    hv and hw are global half-edge ids.  Probability over uniformly random
+    full matchings extending `partial`, conditioned on the multigraph being
+    simple.  Exhaustive, so guarded twice: check_enumerable first, then
+    TooLarge when the f free half-edges have more than EXTENSION_MAX =
+    (15)!! extensions ((f - 1)!! of them).
     """
     check_enumerable(seq)
-    a = hv.global_id if isinstance(hv, HalfEdge) else int(hv)
-    b = hw.global_id if isinstance(hw, HalfEdge) else int(hw)
+    free = partial.partner.count(UNMATCHED)
+    extensions = math.prod(range(free - 1, 0, -2))
+    if extensions > EXTENSION_MAX:
+        raise TooLarge(f"{free} free half-edges have {extensions} "
+                       f"extensions, over the limit of {EXTENSION_MAX}")
+    a, b = int(hv), int(hw)
     if a == b:
         raise ValueError("hv and hw are the same half-edge")
     if half_edge_owner(seq, a) == half_edge_owner(seq, b):
@@ -325,14 +346,13 @@ def conditional_edge_probability(seq: DegreeSequence, partial: Matching,
     for h in (a, b):
         if partial.partner[h] != UNMATCHED:
             raise ValueError(f"half-edge {h} already matched")
+    owner = owner_array(seq).tolist()
     simple = 0
     hit = 0
     for matching in iter_matching_extensions(seq, partial):
-        if not _matching_is_simple(seq, matching.partner):
-            continue
-        simple += 1
-        if matching.partner[a] == b:
-            hit += 1
+        if _matching_is_simple(owner, matching.partner):
+            simple += 1
+            hit += matching.partner[a] == b
     if simple == 0:
         raise NotExtendable("partial matching has no simple extension")
     return Fraction(hit, simple)

@@ -31,9 +31,8 @@ import numpy as np
 
 from .census import sample_batch
 from .degseq import DegreeSequence
-from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
-from .sampler import (DEFAULT_MAX_ATTEMPTS, chain_steps, owner_array,
-                      random_matching)
+from .graphs import Matching, SimpleGraph, matching_to_multigraph, owner_array
+from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps, random_matching
 
 # X* truncation parameters; kept as named constants so experiments can vary
 # them through truncated_increment's keyword arguments.

@@ -3,14 +3,17 @@
 Half-edge global ids are fixed by degree prefix sums over vertex labels
 1..n: vertex v owns ids offsets[v-1] .. offsets[v]-1, slot s mapping to id
 offsets[v-1]+s.  This makes every trace and serialized matching reproducible
-across runs given the same random stream.
+across runs given the same random stream.  A half-edge is its global id, an
+int; owner_array maps every id to its owner at once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from .degseq import DegreeSequence
 from .errors import PartialMatching
@@ -18,34 +21,13 @@ from .errors import PartialMatching
 UNMATCHED = -1
 
 
-class HalfEdge:
-    """One endpoint slot of a future edge."""
-
-    __slots__ = ("owner", "slot", "global_id")
-
-    def __init__(self, owner: int, slot: int, global_id: int):
-        self.owner = owner
-        self.slot = slot
-        self.global_id = global_id
-
-    def __eq__(self, other):
-        return (isinstance(other, HalfEdge)
-                and self.global_id == other.global_id
-                and self.owner == other.owner and self.slot == other.slot)
-
-    def __hash__(self):
-        return hash((self.owner, self.slot, self.global_id))
-
-    def __repr__(self):
-        return f"HalfEdge(owner={self.owner}, slot={self.slot}, id={self.global_id})"
-
-
-def half_edge(seq: DegreeSequence, owner: int, slot: int) -> HalfEdge:
+def half_edge(seq: DegreeSequence, owner: int, slot: int) -> int:
+    """Global id of slot `slot` of vertex `owner`."""
     if not 1 <= owner <= seq.n:
         raise ValueError(f"owner {owner} out of range 1..{seq.n}")
     if not 0 <= slot < seq.degree(owner):
         raise ValueError(f"slot {slot} out of range for vertex {owner}")
-    return HalfEdge(owner, slot, seq.half_edge_offsets[owner - 1] + slot)
+    return seq.half_edge_offsets[owner - 1] + slot
 
 
 def half_edge_owner(seq: DegreeSequence, global_id: int) -> int:
@@ -53,6 +35,12 @@ def half_edge_owner(seq: DegreeSequence, global_id: int) -> int:
     if not 0 <= global_id < 2 * seq.m:
         raise ValueError(f"half-edge id {global_id} out of range")
     return bisect_right(seq.half_edge_offsets, global_id)
+
+
+def owner_array(seq: DegreeSequence) -> np.ndarray:
+    """owner_array[h] = 1-indexed owner of half-edge id h."""
+    return np.repeat(np.arange(1, seq.n + 1, dtype=np.int32),
+                     np.asarray(seq.degrees, dtype=np.int32))
 
 
 class Matching:
@@ -212,9 +200,6 @@ class SimpleGraph:
         """One "u v" pair per line, 1-indexed, u < v."""
         return "".join(f"{u} {v}\n" for u, v in self.edges())
 
-    def to_json_dict(self) -> Dict[str, object]:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges()]}
-
     @classmethod
     def from_edge_list_text(cls, text: str, n: int = None) -> "SimpleGraph":
         edges = []
@@ -245,10 +230,6 @@ def matching_to_multigraph(seq: DegreeSequence, matching: Matching) -> MultiGrap
         raise ValueError("matching length does not fit the sequence")
     if not matching.is_full:
         raise PartialMatching("matching has unmatched half-edges")
-    offsets = seq.half_edge_offsets
-    edges = []
-    for h, p in matching.pairs():
-        u = bisect_right(offsets, h)
-        v = bisect_right(offsets, p)
-        edges.append((u, v))
-    return MultiGraph(seq.n, edges)
+    owner = owner_array(seq).tolist()
+    return MultiGraph(seq.n, [(owner[h], owner[p])
+                              for h, p in matching.pairs()])

@@ -4,11 +4,11 @@ Two routes, each implemented once and vectorized over a batch:
   * configuration-model rejection (rejection_sample_batch): draw uniform
     perfect matchings on half-edges until the multigraph is simple.  Each
     simple graph corresponds to exactly prod d(i)! matchings, so acceptance
-    is exactly uniform.  A matching is one row of raw 64-bit generator
-    words with its half-edge's owner packed into the low bits of each,
-    sorted in place: the pairing an argsort of the same row of rng.random
-    floats gives, without the argsort.  Rows whose words tie above the
-    owner bits are rejected, so the shuffle is exactly uniform.
+    is exactly uniform.  A matching comes from _pairing_keys, the one
+    pairing step (also behind census.multigraph_edge_component_stats): a
+    row of raw 64-bit generator words, each with its half-edge's owner
+    packed into the low bits, sorted in place.  Rows whose words tie above
+    the owner bits are rejected, so the shuffle is exactly uniform.
   * edge-switching Markov chain (switch_chain_batch): lazy chain whose moves
     replace edges xy, uv by xv, uy; the proposal kernel is symmetric and the
     state space connected, so the stationary law is uniform.  The chains
@@ -32,7 +32,7 @@ import numpy as np
 from .degseq import DegreeSequence
 from .errors import (AttemptsExhausted, DegconnError, InvalidSwitch,
                      NotGraphical, TooLarge)
-from .graphs import Matching, MultiGraph, SimpleGraph, matching_to_multigraph
+from .graphs import Matching, SimpleGraph, owner_array
 
 DEFAULT_MAX_ATTEMPTS = 10**6
 # A rejection block holds at most this many half-edge slots (rows * 2m), so
@@ -50,23 +50,39 @@ _ADJACENCY_BYTES = 1 << 30
 _PARTNER = np.array([1, 0, 3, 2])
 
 
-def owner_array(seq: DegreeSequence) -> np.ndarray:
-    """owner_array[h] = 1-indexed owner of half-edge id h."""
-    return np.repeat(np.arange(1, seq.n + 1, dtype=np.int32),
-                     np.asarray(seq.degrees, dtype=np.int32))
-
-
 def random_matching(seq: DegreeSequence, rng: np.random.Generator) -> Matching:
     """Uniform perfect matching on the 2m half-edges.
 
     Draw order: one permutation of 0..2m-1; consecutive entries pair up.
     """
     perm = rng.permutation(2 * seq.m)
-    partner = [0] * (2 * seq.m)
-    for k in range(0, 2 * seq.m, 2):
-        a, b = int(perm[k]), int(perm[k + 1])
-        partner[a], partner[b] = b, a
-    return Matching(partner)
+    partner = np.empty_like(perm)
+    partner[perm[0::2]] = perm[1::2]
+    partner[perm[1::2]] = perm[0::2]
+    return Matching(partner.tolist())
+
+
+def _pairing_keys(rng: np.random.Generator, rows: int, labels: np.ndarray,
+                  bits: int) -> np.ndarray:
+    """The pairing step: `rows` uniform pairings of len(labels) half-edges,
+    a (rows, len(labels)) uint64 array pairing entries 2k and 2k + 1.
+
+    Draw order: one (rows, len(labels)) block of rng.bit_generator.random_raw
+    words, those rng.random turns into the floats (w >> 11) * 2**-53.  The
+    low `bits` bits of each word are replaced by its half-edge's label
+    (below 2**bits) and each row is sorted in place.  The high 64 - bits
+    bits rank a row as its floats do (for bits <= 11 they hold all 53 float
+    bits); keys tied in them (at most C(len(labels), 2) * 2**-(64 - bits)
+    per row) order by label.  ValueError for MT19937's 32-bit words.
+    """
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError("the pairing step needs 64-bit raw words; "
+                         "MT19937 gives 32")
+    keys = rng.bit_generator.random_raw((rows, len(labels)))
+    keys &= ~np.uint64((1 << bits) - 1)
+    keys |= labels
+    keys.sort(axis=1)
+    return keys
 
 
 def rejection_sample_batch(seq: DegreeSequence, count: int,
@@ -79,27 +95,16 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
     row-wise (edge order within a row is code-sorted), plus the number of
     matchings inspected through the one yielding the count-th acceptance.
 
-    Draw order: repeated blocks of (rows, 2m) raw 64-bit words from
-    rng.bit_generator.random_raw, one row per attempted matching; block
-    sizes adapt to the observed acceptance rate and hold at most
-    _BLOCK_ELEMENTS words (at least one row).  These are the words
-    rng.random turns into the floats (w >> 11) * 2**-53.  The low
-    b = n.bit_length() bits of each word are replaced by the owner of its
-    half-edge and each row is sorted in place; the sorted row reads off the
-    owners of a uniform pairing, consecutive entries paired.  The high
-    64 - b bits order the row as the floats do (for b <= 11 they hold all
-    53 float bits), so a row pairs the half-edges as the argsort of the same
-    row of rng.random floats would.  A row whose keys tie in those high
-    bits is rejected like a loop, so the pairing is exactly uniform at
-    every n; a row ties with probability at most C(2m, 2) * 2**-(64 - b).
+    Draw order: repeated _pairing_keys blocks, one row per attempted
+    matching, labelled by owner in b = n.bit_length() bits; block sizes
+    adapt to the observed acceptance rate and hold at most _BLOCK_ELEMENTS
+    words (at least one row).  A row whose keys tie above the owner bits is
+    rejected like a loop, so the pairing is exactly uniform at every n.
 
     Raises AttemptsExhausted once max_attempts matchings have been drawn
     without filling the request, and ValueError for a bit generator whose
     raw words are not 64 bits wide (MT19937).
     """
-    if isinstance(rng.bit_generator, np.random.MT19937):
-        raise ValueError("rejection sampling needs 64-bit raw words; "
-                         "MT19937 gives 32")
     owners = owner_array(seq).astype(np.uint64)
     two_m, m, n = 2 * seq.m, seq.m, seq.n
     bits = n.bit_length()
@@ -121,11 +126,8 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
             rows = count + count // 2 + 16
         rows = min(max(rows, 64), max(1, _BLOCK_ELEMENTS // two_m),
                    max_attempts - drawn)
-        keys = rng.bit_generator.random_raw((rows, two_m))
+        keys = _pairing_keys(rng, rows, owners, bits)
         drawn += rows
-        keys &= ~low
-        keys |= owners
-        keys.sort(axis=1)
         # rows with a loop are rejected before their edge codes are built
         loop_free = np.flatnonzero(
             ~(((keys[:, 0::2] ^ keys[:, 1::2]) & low) == 0).any(axis=1))
@@ -309,8 +311,7 @@ def switch_chain_batch(seq: DegreeSequence, steps: Optional[int], chains: int,
 
 
 __all__ = [
-    "DEFAULT_MAX_ATTEMPTS", "owner_array", "random_matching",
-    "rejection_sample_batch", "havel_hakimi_construct", "switching",
-    "default_chain_steps", "chain_steps", "switch_chain_batch",
-    "Matching", "MultiGraph", "SimpleGraph", "matching_to_multigraph",
+    "DEFAULT_MAX_ATTEMPTS", "random_matching", "rejection_sample_batch",
+    "havel_hakimi_construct", "switching", "default_chain_steps",
+    "chain_steps", "switch_chain_batch",
 ]

@@ -1,6 +1,7 @@
 """Component census: classification, exact oracles, Monte Carlo estimates,
 and the tightness experiment."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,11 +27,12 @@ from degconn.census import (_NAMED_SIGNATURES, _batch_census,
                             exact_multigraph_edge_component_mean,
                             large_component_threshold,
                             multigraph_edge_component_stats, wilson_interval)
-from degconn.exact import (enumerate_realizations, graphical_multisets,
+from degconn.exact import (count_connectivity, count_realizations,
+                           enumerate_realizations, graphical_multisets,
                            iter_matching_extensions)
 from degconn.families import regular, star, two_stars, with_leaves
-from degconn.graphs import half_edge_owner
-from degconn.streams import substream
+from degconn.graphs import half_edge_owner, owner_array
+from degconn.streams import batch_ranges, substream
 
 
 def test_classify_component_named_classes():
@@ -173,6 +176,19 @@ def test_oracle_guards():
                         "half-edges"}
 
 
+def test_long_sequences_count_or_refuse():
+    # the counting recursion goes one level per removed vertex: a sequence
+    # too long for the interpreter's stack is TooLarge, never RecursionError
+    leaves = [1] * 1000
+    total, connected, shapes = count_connectivity(leaves)
+    assert total == math.prod(range(999, 0, -2))
+    assert connected == 0 and shapes == {(1, 1): 500 * total}
+    try:
+        assert count_realizations(leaves) == total
+    except TooLarge as err:
+        assert "1000 vertices" in str(err)
+
+
 def test_estimate_extreme_sequences():
     # (1,1,1,1): every realization is two disjoint edges, never connected
     r = estimate_disconnection(DegreeSequence([1, 1, 1, 1]), 200, seed=1)
@@ -217,9 +233,9 @@ def test_thread_count_does_not_change_report():
     seq = DegreeSequence([1, 1, 2, 2])
     for sampler in ("rejection", "switch-chain"):
         a = estimate_disconnection(seq, 3000, seed=5, sampler=sampler,
-                                   threads=1, batch_size=512)
+                                   threads=1)
         b = estimate_disconnection(seq, 3000, seed=5, sampler=sampler,
-                                   threads=4, batch_size=512)
+                                   threads=4)
         assert a.to_json_dict() == b.to_json_dict(), sampler
 
 
@@ -256,10 +272,9 @@ def test_thread_count_is_clamped(monkeypatch, threads, cpus, workers):
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cpus)
     RecordingPool.workers = []
     seq = DegreeSequence([1, 1, 2, 2])
-    report = estimate_disconnection(seq, 30, seed=5, threads=threads,
-                                    batch_size=10)
+    report = estimate_disconnection(seq, 3000, seed=5, threads=threads)
     assert RecordingPool.workers == ([] if workers is None else [workers])
-    serial = estimate_disconnection(seq, 30, seed=5, threads=1, batch_size=10)
+    serial = estimate_disconnection(seq, 3000, seed=5, threads=1)
     assert report.to_json_dict() == serial.to_json_dict()
 
 
@@ -272,8 +287,7 @@ def test_tightness_experiment_opens_one_pool(monkeypatch):
 
     def run(threads):
         return tightness_experiment(lambda k: regular(3, k), sizes,
-                                    trials=300, seed=4, threads=threads,
-                                    batch_size=100)
+                                    trials=3000, seed=4, threads=threads)
 
     pooled = run(2)
     # every size's three batches go to one map: no barrier between sizes
@@ -398,6 +412,41 @@ def test_multigraph_edge_component_exact_means():
         seq = DegreeSequence(list(degs))
         assert (exact_multigraph_edge_component_mean(seq)
                 == _enumerated_multigraph_edge_component_mean(seq)), degs
+
+
+def argsort_two_leaf_reference(seq, trials, seed):
+    """The two-leaf statistic before it shared the rejection pairing step:
+    each matching is the argsort of a row of rng.random floats, in the same
+    batches and substreams.  Kept as an independent reference."""
+    leaf_of_half_edge = (np.asarray(seq.degrees) == 1)[owner_array(seq) - 1]
+    s = s2 = 0
+    hist = Counter()
+    for b, start, stop in batch_ranges(trials,
+                                       census_mod._MULTIGRAPH_BATCH_SIZE):
+        rng = substream(seed, b)
+        perm = np.argsort(rng.random((stop - start, 2 * seq.m)), axis=1)
+        counts = (leaf_of_half_edge[perm[:, 0::2]]
+                  & leaf_of_half_edge[perm[:, 1::2]]).sum(axis=1)
+        s += int(counts.sum())
+        s2 += int((counts.astype(np.int64) ** 2).sum())
+        hist.update(counts.tolist())
+    mean = s / trials
+    sem = math.sqrt(max(s2 / trials - mean * mean, 0.0) / trials)
+    return {"trials": trials, "seed": seed, "mean": mean, "sem": sem,
+            "histogram": {str(k): v for k, v in sorted(hist.items())}}
+
+
+@pytest.mark.parametrize("degrees, trials", [
+    ([1] * 20 + [3] * 100, 5000), ([1, 1, 2, 2], 5000),
+    ([1] * 4 + [2] * 6, 5000),
+    # n > 2047, where owner labels would cut into the 53 float bits; the
+    # 1-bit leaf flag never does
+    ([1] * 3000 + [3] * 3000, 60)])
+@pytest.mark.parametrize("seed", [1, 13])
+def test_two_leaf_stats_match_argsort_reference(degrees, trials, seed):
+    seq = DegreeSequence(degrees)
+    assert (multigraph_edge_component_stats(seq, trials, seed)
+            == argsort_two_leaf_reference(seq, trials, seed))
 
 
 def test_multigraph_edge_component_stats_match_exact():

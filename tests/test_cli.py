@@ -124,10 +124,21 @@ def test_bad_run_values_fail_with_error_json(capsys, argv, exit_code):
 
 
 def test_sample_exhaustion_exits_3(capsys):
-    code, _, err = run(capsys, "sample", "--seq", "2 2",
+    # K7 is graphical, but only about 1 matching in 130,000 is simple
+    code, _, err = run(capsys, "sample", "--seq", "6 6 6 6 6 6 6",
                        "--sampler", "rejection", "--max-attempts", "500")
     assert code == 3
     assert "attempts" in err
+
+
+def test_non_graphical_sample_and_explore_exit_2(capsys):
+    # even sum, but no simple realization: refused before any draw
+    for cmd in ("sample", "explore"):
+        for sampler in ("auto", "rejection"):
+            code, out, err = run(capsys, cmd, "--seq", "5 5 1 1 1 1 1 1",
+                                 "--sampler", sampler)
+            assert code == 2, (cmd, sampler)
+            assert out == "" and "Erdos-Gallai" in err
 
 
 def test_negative_chain_steps_exit_nonzero(capsys):

@@ -18,7 +18,8 @@ from degconn import families
 from degconn import sampler as sampler_mod
 from degconn.census import sample_batch
 from degconn.errors import NotExtendable, TooLarge
-from degconn.sampler import owner_array, switch_chain_batch
+from degconn.graphs import owner_array
+from degconn.sampler import switch_chain_batch
 from degconn.streams import substream
 
 
@@ -43,6 +44,27 @@ def test_random_matching_is_valid():
     assert m.is_full
 
 
+def loop_random_matching_reference(seq, rng):
+    """The loop random_matching replaced: one permutation, consecutive
+    entries paired one pair at a time."""
+    perm = rng.permutation(2 * seq.m)
+    partner = [0] * (2 * seq.m)
+    for k in range(0, 2 * seq.m, 2):
+        a, b = int(perm[k]), int(perm[k + 1])
+        partner[a], partner[b] = b, a
+    return partner
+
+
+def test_random_matching_matches_loop_reference():
+    for degrees in ([1, 1], [2, 2], [3, 2, 2, 1], [1] * 20 + [3] * 10):
+        seq = DegreeSequence(degrees)
+        for seed in range(25):
+            mine, theirs = substream(seed, 3), substream(seed, 3)
+            assert (random_matching(seq, mine).partner
+                    == loop_random_matching_reference(seq, theirs))
+            assert mine.random() == theirs.random()
+
+
 def one_graph(seq, lo, hi):
     assert lo.shape == hi.shape == (1, seq.m)
     return SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))
@@ -59,7 +81,8 @@ def test_rejection_sample_forced_triangle():
 
 def test_rejection_exhausts_on_infeasible_even_sum():
     seq = DegreeSequence([2, 2])  # only loops or a double edge exist
-    with pytest.raises(AttemptsExhausted):
+    # the one sampler dispatch refuses it before drawing
+    with pytest.raises(NotGraphical):
         sample_batch(seq, "rejection", 1, substream(0, 0), max_attempts=300)
     with pytest.raises(AttemptsExhausted):
         rejection_sample_batch(seq, 2, substream(0, 0), max_attempts=300)
@@ -440,3 +463,18 @@ def test_conditional_oracle_errors():
     s22 = DegreeSequence([2, 2])
     with pytest.raises(ValueError):
         conditional_edge_probability(s22, Matching.empty(s22), 0, 1)
+
+
+def test_conditional_oracle_refuses_too_many_extensions():
+    # 2m = 18 passes check_enumerable, but its 17!! = 34,459,425
+    # extensions are refused before any is walked
+    seq = DegreeSequence([2] * 9)
+    with pytest.raises(TooLarge, match="18 free half-edges have 34459425"):
+        conditional_edge_probability(seq, Matching.empty(seq), 0, 2)
+    # two pairs leave 14 free half-edges: 13!! extensions, within the limit
+    partial = Matching.empty(seq).with_pair(0, 2).with_pair(4, 6)
+    assert 0 <= conditional_edge_probability(seq, partial, 1, 8) <= 1
+    # check_enumerable still speaks first past 2m = 20
+    big = DegreeSequence([2] * 11)
+    with pytest.raises(TooLarge, match="enumeration limit"):
+        conditional_edge_probability(big, Matching.empty(big), 0, 2)
