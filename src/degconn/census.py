@@ -40,8 +40,8 @@ from .exact import check_enumerable, count_connectivity
 # census.enumerate_realizations by name on every workload.
 from .exact import enumerate_realizations  # noqa: F401
 from .graphs import SimpleGraph, owner_array
-from .sampler import (DEFAULT_MAX_ATTEMPTS, _pairing_keys, chain_steps,
-                      rejection_sample_batch, switch_chain_batch)
+from .sampler import (DEFAULT_MAX_ATTEMPTS, _block_rows, _pairing_keys,
+                      chain_steps, rejection_sample_batch, switch_chain_batch)
 from .streams import BATCH_SIZE, batch_ranges, substream
 
 SMALL_COMPONENT_MAX = 6
@@ -284,7 +284,10 @@ class _Tally:
 def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
                   threshold: float) -> _Tally:
     """Census one batch of simple graphs given as (count, m) endpoint arrays
-    (1-indexed, each row one graph)."""
+    (1-indexed, each row one graph).  Each row must be code-sorted, or at
+    least have lo nondecreasing, as both samplers return it: the graph is
+    built as a CSR matrix straight from the rows, and ValueError is raised
+    for a batch whose lo decreases along a row."""
     # scipy.sparse is most of the time and memory of a cold `import degconn`
     # (about 0.5 s and 33 MB); only the batch census needs it
     from scipy import sparse
@@ -292,12 +295,17 @@ def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
 
     count, m = lo.shape
     n = seq.n
-    block = np.arange(count, dtype=np.int64)[:, None] * n
-    rows = (lo.astype(np.int64) - 1 + block).ravel()
-    cols = (hi.astype(np.int64) - 1 + block).ravel()
-    adj = sparse.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)),
-        shape=(count * n, count * n))
+    if (lo[:, 1:] < lo[:, :-1]).any():
+        raise ValueError("batch census needs code-sorted rows")
+    # the flattened rows never decrease, so vertex v's edges are one run
+    index = np.int32 if count * n < 2**31 else np.int64
+    block = np.arange(count, dtype=index)[:, None] * index(n)
+    rows = (lo.astype(index, copy=False) - 1 + block).ravel()
+    cols = (hi.astype(index, copy=False) - 1 + block).ravel()
+    indptr = np.zeros(count * n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=count * n), out=indptr[1:])
+    adj = sparse.csr_matrix((np.ones(rows.size), cols, indptr),
+                            shape=(count * n, count * n))
     ncomp, labels = csgraph.connected_components(adj, directed=False)
 
     sizes = np.bincount(labels, minlength=ncomp)
@@ -515,23 +523,29 @@ def exact_multigraph_edge_component_mean(seq: DegreeSequence) -> Fraction:
 def multigraph_edge_component_stats(seq: DegreeSequence, trials: int,
                                     seed: int) -> Dict[str, object]:
     """Mean (and standard error) of the two-leaf component count over
-    unconditioned uniform matchings.  Batch b is one _pairing_keys block of
-    _MULTIGRAPH_BATCH_SIZE rows from substream(seed, b), each half-edge
-    labelled by its owner's leaf flag (1 bit); ties are not rejected."""
+    unconditioned uniform matchings.  Batch b is _MULTIGRAPH_BATCH_SIZE rows
+    of 64-bit _pairing_keys from substream(seed, b), each half-edge labelled
+    by its owner's leaf flag (1 bit); ties are not rejected.  The rows are
+    drawn in blocks of at most _BLOCK_ELEMENTS keys, which are slices of the
+    same key stream, so memory stays bounded and the result does not depend
+    on the block size."""
     if trials < 1:
         raise TrialsTooFew("trials must be >= 1")
     leaf = (np.asarray(seq.degrees) == 1).astype(np.uint64)[
         owner_array(seq) - 1]
+    block = _block_rows(len(leaf))
     s = 0
     s2 = 0
     hist: Counter = Counter()
     for b, start, stop in batch_ranges(trials, _MULTIGRAPH_BATCH_SIZE):
-        keys = _pairing_keys(substream(seed, b), stop - start, leaf, 1)
-        counts = (keys[:, 0::2] & keys[:, 1::2] & 1).sum(axis=1)
-        s += int(counts.sum())
-        s2 += int((counts ** 2).sum())
-        for val, cnt in zip(*np.unique(counts, return_counts=True)):
-            hist[int(val)] += int(cnt)
+        rng = substream(seed, b)
+        for first in range(start, stop, block):
+            keys = _pairing_keys(rng, min(block, stop - first), leaf, 1)
+            counts = (keys[:, 0::2] & keys[:, 1::2] & 1).sum(axis=1)
+            s += int(counts.sum())
+            s2 += int((counts ** 2).sum())
+            for val, cnt in zip(*np.unique(counts, return_counts=True)):
+                hist[int(val)] += int(cnt)
     mean = s / trials
     var = max(s2 / trials - mean * mean, 0.0)
     sem = math.sqrt(var / trials)

@@ -6,9 +6,12 @@ Two routes, each implemented once and vectorized over a batch:
     simple graph corresponds to exactly prod d(i)! matchings, so acceptance
     is exactly uniform.  A matching comes from _pairing_keys, the one
     pairing step (also behind census.multigraph_edge_component_stats): a
-    row of raw 64-bit generator words, each with its half-edge's owner
-    packed into the low bits, sorted in place.  Rows whose words tie above
-    the owner bits are rejected, so the shuffle is exactly uniform.
+    row of keys cut from raw 64-bit generator words, each with its
+    half-edge's owner packed into the low bits, sorted in place.  The keys
+    are 32-bit halves of the words (low half first) when a row ties above
+    the owner bits with probability at most 1/16, else whole words
+    (_owner_key_type); rows that tie are rejected, so the shuffle is
+    exactly uniform at either width.
   * edge-switching Markov chain (switch_chain_batch): lazy chain whose moves
     replace edges xy, uv by xv, uy; the proposal kernel is symmetric and the
     state space connected, so the stationary law is uniform.  The chains
@@ -35,11 +38,13 @@ from .errors import (AttemptsExhausted, DegconnError, InvalidSwitch,
 from .graphs import Matching, SimpleGraph, owner_array
 
 DEFAULT_MAX_ATTEMPTS = 10**6
-# A rejection block holds at most this many half-edge slots (rows * 2m), so
-# its memory stays bounded whatever m is.  Rows are consecutive slices of
-# one raw-word stream, so the block size never changes the rows or attempts
-# returned, only how far the generator has advanced when the call returns.
-_BLOCK_ELEMENTS = 1 << 20
+# A pairing block holds at most this many half-edge keys (rows * 2m), so its
+# memory stays bounded whatever m is.  Rows are consecutive slices of one key
+# stream, so the block size never changes the rows or attempts returned, only
+# how far the generator has advanced when the call returns.  2**17 was the
+# fastest of 2**14..2**21 on the tightness table's rejection batches; 2**20
+# spills the cache (sampling took 11% longer).
+_BLOCK_ELEMENTS = 1 << 17
 # A switch-chain proposal block holds at most this many chain-steps
 # (steps * chains, at least one step), three int64 draws each.
 _PROPOSAL_ELEMENTS = 1 << 14
@@ -65,24 +70,49 @@ def random_matching(seq: DegreeSequence, rng: np.random.Generator) -> Matching:
 def _pairing_keys(rng: np.random.Generator, rows: int, labels: np.ndarray,
                   bits: int) -> np.ndarray:
     """The pairing step: `rows` uniform pairings of len(labels) half-edges,
-    a (rows, len(labels)) uint64 array pairing entries 2k and 2k + 1.
+    a (rows, len(labels)) array of labels.dtype (uint32 or uint64) pairing
+    entries 2k and 2k + 1.
 
-    Draw order: one (rows, len(labels)) block of rng.bit_generator.random_raw
-    words, those rng.random turns into the floats (w >> 11) * 2**-53.  The
-    low `bits` bits of each word are replaced by its half-edge's label
-    (below 2**bits) and each row is sorted in place.  The high 64 - bits
-    bits rank a row as its floats do (for bits <= 11 they hold all 53 float
-    bits); keys tied in them (at most C(len(labels), 2) * 2**-(64 - bits)
-    per row) order by label.  ValueError for MT19937's 32-bit words.
+    Draw order: one flat rng.bit_generator.random_raw call.  uint64 labels
+    take rows * len(labels) raw words, one key each, the words rng.random
+    turns into the floats (w >> 11) * 2**-53.  uint32 labels take half as
+    many words and split each into two keys, its low 32 bits first (on any
+    byte order).  Key k of the stream goes to row k // len(labels), so the
+    rows are consecutive slices of one stream whatever `rows` is.  The low
+    `bits` bits of each key are replaced by its half-edge's label (below
+    2**bits) and each row is sorted in place.  Keys tied above the label
+    bits (at most C(len(labels), 2) * 2**(bits - width) per row, width the
+    key width) order by label.  ValueError for MT19937's 32-bit words.
     """
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError("the pairing step needs 64-bit raw words; "
                          "MT19937 gives 32")
-    keys = rng.bit_generator.random_raw((rows, len(labels)))
-    keys &= ~np.uint64((1 << bits) - 1)
+    key = labels.dtype.type
+    raw = rng.bit_generator.random_raw(rows * len(labels) * labels.itemsize
+                                       // 8)
+    if key is np.uint32:
+        # zero-copy on little-endian hosts; low half first on any byte order
+        raw = raw.astype("<u8", copy=False).view("<u4")
+        raw = raw.astype(np.uint32, copy=False)
+    keys = raw.reshape(rows, len(labels))
+    keys &= ~key((1 << bits) - 1)
     keys |= labels
     keys.sort(axis=1)
     return keys
+
+
+def _block_rows(width: int) -> int:
+    """Rows of `width` keys in one pairing block: _BLOCK_ELEMENTS // width,
+    at least one."""
+    return max(1, _BLOCK_ELEMENTS // width)
+
+
+def _owner_key_type(n: int, m: int) -> type:
+    """Key width of the rejection route: np.uint32 when a row of 2m 32-bit
+    keys with n.bit_length() owner bits ties with probability at most 1/16,
+    C(2m, 2) * 2**(bits - 32) <= 2**-4, else np.uint64."""
+    return (np.uint32 if math.comb(2 * m, 2) << n.bit_length() <= 1 << 28
+            else np.uint64)
 
 
 def rejection_sample_batch(seq: DegreeSequence, count: int,
@@ -95,20 +125,26 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
     row-wise (edge order within a row is code-sorted), plus the number of
     matchings inspected through the one yielding the count-th acceptance.
 
-    Draw order: repeated _pairing_keys blocks, one row per attempted
-    matching, labelled by owner in b = n.bit_length() bits; block sizes
-    adapt to the observed acceptance rate and hold at most _BLOCK_ELEMENTS
-    words (at least one row).  A row whose keys tie above the owner bits is
-    rejected like a loop, so the pairing is exactly uniform at every n.
+    Draw order: repeated _pairing_keys blocks, one row of 2m keys per
+    attempted matching, labelled by owner in b = n.bit_length() bits.  The
+    keys are 32-bit halves of the raw words, low half first, when
+    C(2m, 2) * 2**(b - 32) <= 2**-4 (_owner_key_type), else whole 64-bit
+    words; no option sets the width.  Block sizes adapt to the observed
+    acceptance rate and hold at most _BLOCK_ELEMENTS keys (at least one
+    row); rows are consecutive slices of one key stream, so the block size
+    changes no row or attempt count.  A row whose keys tie above the owner
+    bits is rejected like a loop, so the pairing is exactly uniform at
+    either width.
 
     Raises AttemptsExhausted once max_attempts matchings have been drawn
     without filling the request, and ValueError for a bit generator whose
     raw words are not 64 bits wide (MT19937).
     """
-    owners = owner_array(seq).astype(np.uint64)
     two_m, m, n = 2 * seq.m, seq.m, seq.n
     bits = n.bit_length()
-    low = np.uint64((1 << bits) - 1)
+    key = _owner_key_type(n, m)
+    owners = owner_array(seq).astype(key)
+    low = key((1 << bits) - 1)
     side = n + 1
     code_type = np.int32 if side * side < 2**31 else np.int64
     out_lo = np.empty((count, m), dtype=np.int32)
@@ -124,8 +160,7 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
             rows = int((count - got) / acceptance * 1.25) + 16
         else:
             rows = count + count // 2 + 16
-        rows = min(max(rows, 64), max(1, _BLOCK_ELEMENTS // two_m),
-                   max_attempts - drawn)
+        rows = min(max(rows, 64), _block_rows(two_m), max_attempts - drawn)
         keys = _pairing_keys(rng, rows, owners, bits)
         drawn += rows
         # rows with a loop are rejected before their edge codes are built
@@ -137,7 +172,7 @@ def rejection_sample_batch(seq: DegreeSequence, count: int,
         codes = np.minimum(u, v) * side + np.maximum(u, v)
         codes.sort(axis=1)
         simple = np.flatnonzero(~(np.diff(codes, axis=1) == 0).any(axis=1))
-        high = keys[loop_free[simple]] >> np.uint64(bits)
+        high = keys[loop_free[simple]] >> key(bits)
         untied = simple[~(high[:, 1:] == high[:, :-1]).any(axis=1)]
         keep = untied[: count - got]
         take = loop_free[keep]

@@ -10,7 +10,11 @@ Workers are assigned whole batches and per-batch tallies merge in batch
 order, so statistics are byte-identical for any parallelism degree.  A port
 reproduces the statistics by reproducing this derivation (numpy's
 SeedSequence hash is specified in its docs) and the batch draw order
-documented in each batch routine.  The switch chain
+documented in each batch routine.  Rejection sampling
+(sampler.rejection_sample_batch) cuts each attempted matching's 2m keys
+from raw 64-bit words: two 32-bit keys per word, low half first, when
+C(2m, 2) * 2**(n.bit_length() - 32) <= 2**-4, else one key per word; rows
+are consecutive slices of one key stream.  The switch chain
 (sampler.switch_chain_batch) draws its proposals a block of steps at a
 time, max(1, 2**14 // chains) steps per block: every first-edge index of
 the block, then every second-edge index, then every orientation.  A batch's

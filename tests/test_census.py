@@ -22,6 +22,7 @@ from degconn import (ComponentTaxonomy, DegreeSequence, Matching, SimpleGraph,
                      exact_connectivity_oracle, rejection_sample_batch,
                      tightness_experiment)
 from degconn import census as census_mod
+from degconn import sampler as sampler_mod
 from degconn.census import (_NAMED_SIGNATURES, _batch_census,
                             _tally_edge_lists, clopper_pearson_interval,
                             exact_multigraph_edge_component_mean,
@@ -362,6 +363,49 @@ def test_batched_census_agrees_with_per_graph_classification():
     assert sum(tally.second_largest_edges.values()) == 200
 
 
+def coo_census_reference(seq, lo, hi, threshold):
+    """The census tallies from the COO labelling _batch_census used before
+    it built its CSR matrix from the sorted rows, tallied per graph."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    count, n = len(lo), seq.n
+    block = np.arange(count, dtype=np.int64)[:, None] * n
+    rows = (lo.astype(np.int64) - 1 + block).ravel()
+    cols = (hi.astype(np.int64) - 1 + block).ravel()
+    adj = sparse.coo_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
+                            shape=(count * n, count * n))
+    _, labels = csgraph.connected_components(adj, directed=False)
+    edges_of = Counter(labels[rows].tolist())
+    tally = census_mod._Tally(trials=count)
+    for g in range(count):
+        members = Counter(labels[g * n:(g + 1) * n].tolist())
+        comps = sorted(((edges_of[c], c) for c in members), reverse=True)
+        tally.components += len(comps)
+        tally.disconnected += len(comps) > 1
+        tally.two_large += sum(e > threshold for e, _ in comps) >= 2
+        tally.second_largest_edges[comps[1][0] if len(comps) > 1 else 0] += 1
+        for e, c in comps:
+            degs = [seq.degrees[v] for v in range(n) if labels[g * n + v] == c]
+            tally.taxonomy.add(classify_component(degs, e))
+    return tally
+
+
+def test_batch_census_csr_matches_coo_labelling():
+    for seq, sampler in ((with_leaves(6, 3, 30), "rejection"),
+                         (with_leaves(10, 3, 14), "switch-chain")):
+        lo, hi, _ = census_mod.sample_batch(seq, sampler, 300,
+                                            substream(17, 0), steps=200)
+        threshold = 4.0
+        tally = _batch_census(seq, lo, hi, threshold)
+        want = coo_census_reference(seq, lo, hi, threshold)
+        assert tally == want
+        assert tally.disconnected and tally.two_large
+    # rows that are not code-sorted would split a vertex's edges
+    with pytest.raises(ValueError, match="code-sorted"):
+        _batch_census(seq, lo[:, ::-1], hi[:, ::-1], threshold)
+
+
 def test_interval_functions():
     lo, hi = wilson_interval(0, 100)
     assert lo == 0.0 and 0 < hi < 0.05
@@ -447,6 +491,16 @@ def test_two_leaf_stats_match_argsort_reference(degrees, trials, seed):
     seq = DegreeSequence(degrees)
     assert (multigraph_edge_component_stats(seq, trials, seed)
             == argsort_two_leaf_reference(seq, trials, seed))
+
+
+def test_two_leaf_stats_do_not_depend_on_block_size(monkeypatch):
+    seq = DegreeSequence([1] * 20 + [3] * 100)
+    monkeypatch.setattr(sampler_mod, "_BLOCK_ELEMENTS", 1 << 40)
+    whole = multigraph_edge_component_stats(seq, 5000, seed=3)
+    # 2m = 320: three rows per block, and 4096 and 904 rows per batch
+    # leave a partial last block
+    monkeypatch.setattr(sampler_mod, "_BLOCK_ELEMENTS", 1000)
+    assert multigraph_edge_component_stats(seq, 5000, seed=3) == whole
 
 
 def test_multigraph_edge_component_stats_match_exact():

@@ -1,6 +1,7 @@
 """Samplers: uniform matchings, rejection, Havel-Hakimi, switching chains,
 and the conditional edge-probability oracle."""
 
+import math
 import pickle
 import tracemalloc
 from collections import Counter
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from degconn import (AttemptsExhausted, DegconnError, DegreeSequence,
                      InvalidSwitch, Matching, NotGraphical, SimpleGraph,
@@ -122,12 +124,34 @@ def test_rejection_batch_matches_degree_sequence():
     assert (np.diff(codes, axis=1) > 0).all()
 
 
+def reference_key_width(seq):
+    """The width rule restated: 32-bit keys when a row of 2m keys with
+    n.bit_length() owner bits ties with probability at most 1/16."""
+    bits = seq.n.bit_length()
+    tie_bound = Fraction(math.comb(2 * seq.m, 2) * 2**bits, 2**32)
+    return 32 if tie_bound <= Fraction(1, 16) else 64
+
+
+def reference_keys(rng, rows, two_m, width):
+    """rows * two_m keys from one flat random_raw call: whole 64-bit words,
+    or each word's low 32 bits then its high 32 bits."""
+    words = rng.bit_generator.random_raw(rows * two_m * width // 64)
+    if width == 32:
+        words = np.stack([words & np.uint64(0xFFFFFFFF),
+                          words >> np.uint64(32)], axis=1)
+    return words.reshape(rows, two_m)
+
+
 def argsort_rejection_reference(seq, count, rng, max_attempts=10**6):
-    """The argsort rejection kernel that rejection_sample_batch replaced:
-    each attempted matching is the argsort of a row of rng.random floats,
-    with the same block-size rule.  Kept as an independent reference."""
+    """Rejection sampling by argsort over the kernel's keys: each attempted
+    matching ranks a row of 2m keys (reference_key_width wide) by the bits
+    above the owner field, and a row that ties there, has a loop or has a
+    double edge is rejected; same block-size rule.  Kept as an independent
+    reference."""
     owners = owner_array(seq)
     two_m, m, n = 2 * seq.m, seq.m, seq.n
+    bits = n.bit_length()
+    width = reference_key_width(seq)
     out_lo = np.empty((count, m), dtype=np.int32)
     out_hi = np.empty((count, m), dtype=np.int32)
     got = attempts = drawn = 0
@@ -141,25 +165,25 @@ def argsort_rejection_reference(seq, count, rng, max_attempts=10**6):
             rows = count + count // 2 + 16
         rows = min(max(rows, 64), max(1, sampler_mod._BLOCK_ELEMENTS // two_m),
                    max_attempts - drawn)
-        perm = np.argsort(rng.random((rows, two_m)), axis=1)
+        high = reference_keys(rng, rows, two_m, width) >> np.uint64(bits)
+        perm = np.argsort(high, axis=1)
         drawn += rows
+        ranked = np.take_along_axis(high, perm, axis=1)
+        untied = ~(np.diff(ranked, axis=1) == 0).any(axis=1)
         o = owners[perm]
-        loop_free = np.flatnonzero(~(o[:, 0::2] == o[:, 1::2]).any(axis=1))
-        u = o[loop_free, 0::2]
-        v = o[loop_free, 1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
+        loop_free = ~(o[:, 0::2] == o[:, 1::2]).any(axis=1)
+        lo = np.minimum(o[:, 0::2], o[:, 1::2])
+        hi = np.maximum(o[:, 0::2], o[:, 1::2])
         codes = lo.astype(np.int64) * (n + 1) + hi
         order = np.argsort(codes, axis=1)
         sorted_codes = np.take_along_axis(codes, order, axis=1)
         simple = ~(np.diff(sorted_codes, axis=1) == 0).any(axis=1)
-        keep = np.flatnonzero(simple)[: count - got]
-        take = loop_free[keep]
+        take = np.flatnonzero(untied & loop_free & simple)[: count - got]
         k = len(take)
         if k:
-            order = order[keep]
-            out_lo[got:got + k] = np.take_along_axis(lo[keep], order, axis=1)
-            out_hi[got:got + k] = np.take_along_axis(hi[keep], order, axis=1)
+            order = order[take]
+            out_lo[got:got + k] = np.take_along_axis(lo[take], order, axis=1)
+            out_hi[got:got + k] = np.take_along_axis(hi[take], order, axis=1)
             got += k
         if got < count:
             attempts = drawn
@@ -187,14 +211,16 @@ def assert_same_as_reference(seq, count, seed):
     families.regular(3, 100)], ids=lambda s: f"n{s.n}_m{s.m}")
 @pytest.mark.parametrize("count", [1, 1024])
 def test_rejection_kernel_matches_argsort_reference(seq, count):
+    assert reference_key_width(seq) == 32
     assert_same_as_reference(seq, count, seed=41)
 
 
 def test_rejection_kernel_int64_codes():
-    # (n+1)^2 >= 2**31: edge codes need int64
+    # (n+1)^2 >= 2**31: edge codes need int64, and the keys 64 bits
     for degrees in ([1] * 46342, [1] * 46340 + [100, 100]):
         seq = DegreeSequence(degrees)
         assert (seq.n + 1) ** 2 >= 2**31
+        assert reference_key_width(seq) == 64
         lo, hi = assert_same_as_reference(seq, 24, seed=5)
         codes = lo.astype(np.int64) * (seq.n + 1) + hi
         assert (np.diff(codes, axis=1) > 0).all()
@@ -202,44 +228,102 @@ def test_rejection_kernel_int64_codes():
     assert (codes >= 2**31).any()
 
 
-class TiedWords:
-    """Stands in for a Generator: random_raw hands out the given rows of
-    raw words first, then rows of distinct words."""
+class CountingWords:
+    """Stands in for a Generator, counting the raw words drawn."""
 
-    def __init__(self, rows):
-        self.rows = [np.array(r, dtype=np.uint64) for r in rows]
+    def __init__(self, seed):
+        self.words = substream(seed, 0).bit_generator
         self.bit_generator = self
+        self.drawn = 0
 
     def random_raw(self, size):
-        out = (np.arange(size[0] * size[1], dtype=np.uint64)
-               .reshape(size) * np.uint64(1 << 40) + np.uint64(1 << 62))
-        for r, row in enumerate(self.rows[:size[0]]):
-            out[r] = row
-        del self.rows[:size[0]]
+        self.drawn += size
+        return self.words.random_raw(size)
+
+
+def test_key_width_rule_boundary():
+    # n = 724 leaves: C(724, 2) * 2**10 = 268,007,424 <= 2**28, so 32-bit
+    # keys, half a word per half-edge; n = 726: 269,491,200 > 2**28
+    for n, width in ((724, 32), (726, 64)):
+        seq = DegreeSequence([1] * n)
+        assert reference_key_width(seq) == width
+        words = CountingWords(3)
+        rejection_sample_batch(seq, 1, words, max_attempts=1)
+        assert words.drawn == n * width // 64
+        assert_same_as_reference(seq, 8, seed=3)
+
+
+def fill_words(first, size):
+    """Raw words first .. first + size - 1 of TiedWords' filler: distinct,
+    and so are all their 32-bit halves, above the lowest 12 bits."""
+    k = np.arange(first, first + size, dtype=np.uint64)
+    return ((2 * k + 1) << np.uint64(44)) | ((2 * k) << np.uint64(12))
+
+
+class TiedWords:
+    """Stands in for a Generator: random_raw(size) hands out the given raw
+    words first, then filler words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.bit_generator = self
+        self.drawn = 0
+
+    def random_raw(self, size):
+        out = fill_words(self.drawn, size)
+        given = self.words[:size]
+        out[:len(given)] = given
+        self.words = self.words[size:]
+        self.drawn += size
         return out
 
 
+def words_of_halves(*rows):
+    """Raw words whose 32-bit halves, low half first, are the given keys."""
+    keys = [k for row in rows for k in row]
+    return [lo | (hi << 32) for lo, hi in zip(keys[0::2], keys[1::2])]
+
+
 def test_rejection_rejects_rows_with_tied_keys():
-    top = 1 << 63
-    # n = 4 leaves a 3-bit owner field; every row here is a simple graph
-    # (four leaves) unless its keys tie above that field
+    top = 1 << 31
+    # n = 4 takes 32-bit keys with a 3-bit owner field; every row here is
+    # a simple graph (four leaves) unless its keys tie above that field
     rows = [
-        [top, top, 5 << 20, 9 << 20],          # identical words
+        [top, top, 5 << 20, 9 << 20],          # one word's halves tie
         [top | 1, top | 6, 5 << 20, 9 << 20],  # differ in the owner bits only
-        [7 << 20, 5 << 20, 7 << 20, 9 << 20],  # tie away from each other
+        [7 << 20, 5 << 20, 7 << 20, 9 << 20],  # two words' halves tie
         [7 << 20, 5 << 20, 8 << 20, 9 << 20],  # distinct: accepted
     ]
     seq = DegreeSequence([1, 1, 1, 1])
-    lo, hi, attempts = rejection_sample_batch(seq, 1, TiedWords(rows))
+    assert reference_key_width(seq) == 32
+    lo, hi, attempts = rejection_sample_batch(
+        seq, 1, TiedWords(words_of_halves(*rows)))
     assert attempts == 4
     # sorted keys 5, 7, 8, 9 << 20 carry owners 2, 1, 3, 4
     assert lo.tolist() == [[1, 3]] and hi.tolist() == [[2, 4]]
     # tied rows count as attempts
-    lo, hi, attempts = rejection_sample_batch(seq, 2, TiedWords(rows[:3]),
-                                              max_attempts=5)
+    lo, hi, attempts = rejection_sample_batch(
+        seq, 2, TiedWords(words_of_halves(*rows[:3])), max_attempts=5)
     assert attempts == 5
     with pytest.raises(AttemptsExhausted):
-        rejection_sample_batch(seq, 1, TiedWords(rows[:3]), max_attempts=3)
+        rejection_sample_batch(seq, 1, TiedWords(words_of_halves(*rows[:3])),
+                               max_attempts=3)
+
+
+def test_rejection_rejects_tied_64_bit_words():
+    # n = 726 takes whole 64-bit words with a 10-bit owner field
+    seq = DegreeSequence([1] * 726)
+    assert reference_key_width(seq) == 64
+    tied = fill_words(0, 726)
+    tied[5] = tied[3] ^ np.uint64(0x3FF)  # differ in the owner bits only
+    halves = fill_words(726, 726)
+    h = 0xABCDE << 12
+    halves[0] = h | (h << 32)  # its 32-bit halves tie, the word does not
+    assert len(np.unique(halves >> np.uint64(10))) == 726
+    words = TiedWords(np.concatenate([tied, halves]))
+    lo, hi, attempts = rejection_sample_batch(seq, 1, words)
+    assert attempts == 2
+    assert one_graph(seq, lo, hi).degree_vector() == [1] * 726
 
 
 def test_rejection_refuses_32_bit_words():
@@ -478,3 +562,46 @@ def test_conditional_oracle_refuses_too_many_extensions():
     big = DegreeSequence([2] * 11)
     with pytest.raises(TooLarge, match="enumeration limit"):
         conditional_edge_probability(big, Matching.empty(big), 0, 2)
+
+
+def one_step_law(g):
+    """Exact law of one switch-chain step from g: Counter of target edge
+    lists over the 4 m (m - 1) equally likely proposals (i, j, o), where
+    edge i is (x, y), reversed when bit 0 of o is set, and edge j is
+    (u, v), reversed when bit 1 is set; an invalid switch holds."""
+    edges = g.edges()
+    law = Counter()
+    for i, first in enumerate(edges):
+        for j, second in enumerate(edges):
+            if i == j:
+                continue
+            for o in range(4):
+                xy = first[::-1] if o & 1 else first
+                uv = second[::-1] if o & 2 else second
+                try:
+                    target = switching(g, xy, uv)
+                except InvalidSwitch:
+                    target = g
+                law[tuple(target.edges())] += 1
+    return law
+
+
+@pytest.mark.parametrize("degrees", [[2] * 6, [3, 3, 2, 2, 1, 1, 1, 1]])
+def test_switch_chain_one_step_law(degrees):
+    seq = DegreeSequence(degrees)
+    start = havel_hakimi_construct(seq)
+    law = one_step_law(start)
+    proposals = 4 * seq.m * (seq.m - 1)
+    assert sum(law.values()) == proposals
+    chains = 40000
+    codes = switch_chain_batch(seq, 1, chains, substream(2026, seq.m))
+    side = seq.n + 1
+    observed = Counter(tuple(zip((row // side).tolist(), (row % side).tolist()))
+                       for row in codes)
+    assert set(observed) <= set(law)
+    targets = sorted(law)
+    obs = np.array([observed[t] for t in targets])
+    exp = np.array([chains * law[t] / proposals for t in targets])
+    assert exp.min() >= 5
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    assert chi2.sf(stat, len(targets) - 1) > 0.001, stat
