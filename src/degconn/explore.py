@@ -15,16 +15,21 @@ partners that were selected before it; each half-edge of a loop at v_i adds
 1 to L_i and takes 1 from X_i, so the loop adds 2 to L_i.
 `explore_revealing` samples the object first and replays, which has exactly
 the law of revealing partners one at a time.
+
+Each step is an `IterationRecord`, a NamedTuple: immutable, hashable, and
+cheap to build positionally, which the walk does once per step.  A changed
+copy is `record._replace(X=5)`.  The per-component `ExplorationTrace` is a
+frozen dataclass.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+from heapq import heappop, heappush
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
                     Sequence, Tuple)
 
 import numpy as np
@@ -46,8 +51,10 @@ def small_degree_cutoff(m: int) -> float:
     return math.sqrt(m) / (math.log(m) ** 2)
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
+    """One step of the walk.  A NamedTuple (immutable, hashable, compared as
+    a tuple); build a changed copy with `record._replace(field=value)`."""
+
     i: int
     v: int
     d_i: int
@@ -76,9 +83,7 @@ class ExplorationTrace:
         i = len(out)
         while i < length:
             i += 1
-            out.append(IterationRecord(i=i, v=0, d_i=0, J=0, K=0, L=0,
-                                       X=0, x_prev=0, X_star=0,
-                                       new_vertices=()))
+            out.append(IterationRecord(i, 0, 0, 0, 0, 0, 0, 0, 0, ()))
         return out
 
     def to_csv_text(self) -> str:
@@ -123,13 +128,13 @@ def truncated_increment(record: IterationRecord, m: int,
                    big_step_fraction)
 
 
-def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
-           starts: Iterable[int], m: int) -> Iterator[ExplorationTrace]:
+def _walks(partners: Sequence[Sequence[int]], starts: Iterable[int],
+           m: int) -> Iterator[ExplorationTrace]:
     """The exploration walk from each of `starts` that no earlier walk
     reached.  partners[v] lists the far end of each of v's edges in exposure
-    order, with v itself once per loop half-edge; degree(u) is u's degree
-    and m the edge count.  Components are disjoint, so the walks share one
-    set of per-vertex arrays."""
+    order, with v itself once per loop half-edge, so len(partners[u]) is u's
+    degree; m is the edge count.  Components are disjoint, so the walks share
+    one set of per-vertex arrays."""
     n = len(partners) - 1
     open_ = [0] * (n + 1)
     in_tree = [False] * (n + 1)
@@ -140,16 +145,16 @@ def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
             raise ValueError(f"start {start} out of range")
         if in_tree[start]:
             continue
-        X = open_[start] = degree(start)
+        X = open_[start] = len(partners[start])
         in_tree[start] = True
         tree = [start]
         heap = [(X, start)]
         records: List[IterationRecord] = []
         while X > 0:
             # lazy deletion: entries whose count went stale are dropped
-            d_i, v = heapq.heappop(heap)
+            d_i, v = heappop(heap)
             while open_[v] != d_i:
-                d_i, v = heapq.heappop(heap)
+                d_i, v = heappop(heap)
             x_prev = X
             J = K = L = 0
             newv: List[Tuple[int, int]] = []
@@ -164,9 +169,9 @@ def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
                     X -= 2
                     open_[u] -= 1
                     if open_[u]:
-                        heapq.heappush(heap, (open_[u], u))
+                        heappush(heap, (open_[u], u))
                 else:
-                    du = degree(u)
+                    du = len(partners[u])
                     in_tree[u] = True
                     tree.append(u)
                     if du == 1:
@@ -176,14 +181,13 @@ def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
                     X += du - 2
                     open_[u] = du - 1
                     if du > 1:
-                        heapq.heappush(heap, (du - 1, u))
+                        heappush(heap, (du - 1, u))
                     newv.append((u, du))
             selected[v] = True
             open_[v] = 0
             records.append(IterationRecord(
-                i=len(records) + 1, v=v, d_i=d_i, J=J, K=K, L=L, X=X,
-                x_prev=x_prev, X_star=_x_star(d_i, X - x_prev, cutoff),
-                new_vertices=tuple(newv)))
+                len(records) + 1, v, d_i, J, K, L, X, x_prev,
+                _x_star(d_i, X - x_prev, cutoff), tuple(newv)))
         yield ExplorationTrace(start=start, records=tuple(records),
                                component=frozenset(tree),
                                died_at=len(records), m=m)
@@ -191,7 +195,7 @@ def _walks(partners: Sequence[Sequence[int]], degree: Callable[[int], int],
 
 def explore(g: SimpleGraph, start: int) -> ExplorationTrace:
     """Deterministic exploration replay on a fixed simple graph."""
-    return next(_walks(g.adj, g.degree, [start], g.m))
+    return next(_walks(g.adj, [start], g.m))
 
 
 def explore_matching(seq: DegreeSequence, matching: Matching,
@@ -199,13 +203,15 @@ def explore_matching(seq: DegreeSequence, matching: Matching,
     """Deterministic exploration replay on a fixed full matching (multigraph
     configuration).  Half-edges of v_i are exposed in ascending slot order;
     each half-edge of a loop counts 1 toward L_i."""
+    if len(matching) != 2 * seq.m:
+        raise ValueError("matching length does not fit the sequence")
     if not matching.is_full:
         raise ValueError("explore_matching needs a full matching")
     far = owner_array(seq)[matching.partner].tolist()
     offsets = seq.half_edge_offsets
     partners = [[]] + [far[offsets[v - 1]:offsets[v]]
                        for v in range(1, seq.n + 1)]
-    return next(_walks(partners, seq.degree, [start], seq.m))
+    return next(_walks(partners, [start], seq.m))
 
 
 def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
@@ -239,7 +245,7 @@ def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
 def explore_components(g: SimpleGraph) -> List[ExplorationTrace]:
     """Explore from every not-yet-reached vertex (ascending label); the trace
     components partition 1..n."""
-    return list(_walks(g.adj, g.degree, range(1, g.n + 1), g.m))
+    return list(_walks(g.adj, range(1, g.n + 1), g.m))
 
 
 def check_trace(trace: ExplorationTrace, simple: bool = True) -> List[str]:
@@ -252,29 +258,30 @@ def check_trace(trace: ExplorationTrace, simple: bool = True) -> List[str]:
     """
     bad: List[str] = []
     prev_x = None
-    for r in trace.records:
-        if prev_x is not None and r.x_prev != prev_x:
-            bad.append(f"i={r.i}: x_prev {r.x_prev} does not chain from {prev_x}")
-        prev_x = r.X
-        dx = r.X - r.x_prev
-        if r.J + r.K + r.L > r.d_i:
-            bad.append(f"i={r.i}: J+K+L = {r.J + r.K + r.L} > d_i = {r.d_i}")
-        if dx < r.d_i - 2 * r.J - r.K - 3 * r.L:
-            bad.append(f"i={r.i}: step inequality fails "
-                       f"({dx} < {r.d_i - 2 * r.J - r.K - 3 * r.L})")
-        if dx < -2 * r.d_i:
-            bad.append(f"i={r.i}: X dropped more than 2 d_i ({dx})")
-        if r.X < 0:
-            bad.append(f"i={r.i}: negative X")
+    # records are unpacked, not read by attribute: this loop runs per step
+    for i, _, d_i, J, K, L, X, x_prev, _, _ in trace.records:
+        if prev_x is not None and x_prev != prev_x:
+            bad.append(f"i={i}: x_prev {x_prev} does not chain from {prev_x}")
+        prev_x = X
+        dx = X - x_prev
+        if J + K + L > d_i:
+            bad.append(f"i={i}: J+K+L = {J + K + L} > d_i = {d_i}")
+        if dx < d_i - 2 * J - K - 3 * L:
+            bad.append(f"i={i}: step inequality fails "
+                       f"({dx} < {d_i - 2 * J - K - 3 * L})")
+        if dx < -2 * d_i:
+            bad.append(f"i={i}: X dropped more than 2 d_i ({dx})")
+        if X < 0:
+            bad.append(f"i={i}: negative X")
         if simple:
-            if r.L > math.isqrt(r.x_prev):
-                bad.append(f"i={r.i}: L = {r.L} > floor sqrt X_prev = "
-                           f"{math.isqrt(r.x_prev)}")
-            if r.L >= 1 and r.x_prev < r.d_i * (r.L + 1):
-                bad.append(f"i={r.i}: X_prev = {r.x_prev} < d_i (L+1) = "
-                           f"{r.d_i * (r.L + 1)}")
-            if r.X < r.L * (r.L - 1):
-                bad.append(f"i={r.i}: X = {r.X} < L(L-1) = {r.L * (r.L - 1)}")
+            if L > math.isqrt(x_prev):
+                bad.append(f"i={i}: L = {L} > floor sqrt X_prev = "
+                           f"{math.isqrt(x_prev)}")
+            if L >= 1 and x_prev < d_i * (L + 1):
+                bad.append(f"i={i}: X_prev = {x_prev} < d_i (L+1) = "
+                           f"{d_i * (L + 1)}")
+            if X < L * (L - 1):
+                bad.append(f"i={i}: X = {X} < L(L-1) = {L * (L - 1)}")
     if trace.records and trace.records[-1].X != 0:
         bad.append("trace did not end at X = 0")
     return bad

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
@@ -151,6 +151,16 @@ class MultiGraph:
         return f"MultiGraph(n={self.n}, edges={self.edges()})"
 
 
+def _refuse_edge(n: int, u: int, v: int, key: Tuple[int, int]) -> NoReturn:
+    """Raise for an edge SimpleGraph refuses, checked in this order: a loop,
+    an endpoint outside 1..n, then a duplicate of an earlier edge."""
+    if u == v:
+        raise ValueError(f"loop at {u} in simple graph")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ValueError(f"edge ({u},{v}) out of range")
+    raise ValueError(f"duplicate edge {key}")
+
+
 class SimpleGraph:
     """Loop-free, parallel-edge-free labeled graph with sorted adjacency."""
 
@@ -161,13 +171,10 @@ class SimpleGraph:
         adj: List[List[int]] = [[] for _ in range(n + 1)]
         edge_set = set()
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at {u} in simple graph")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in edge_set:
-                raise ValueError(f"duplicate edge {key}")
+            key = (u, v) if u < v else (v, u)
+            # one test on the hot path; _refuse_edge names the fault
+            if u == v or key[0] < 1 or key[1] > n or key in edge_set:
+                _refuse_edge(n, u, v, key)
             edge_set.add(key)
             adj[u].append(v)
             adj[v].append(u)

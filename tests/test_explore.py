@@ -130,7 +130,7 @@ def test_truncated_increment_branches():
     # explicit cutoff forces the min branch: min(3 d, delta X)
     assert truncated_increment(r1, 6, cutoff=10) == min(9, 6 - 3)
     assert truncated_increment(r2, 6, cutoff=10) == min(6, 2 - 6)
-    pad = replace(r1, d_i=0, X=0, x_prev=0)
+    pad = r1._replace(d_i=0, X=0, x_prev=0)
     assert truncated_increment(pad, 6, cutoff=10) == 0
 
 
@@ -155,6 +155,16 @@ def test_json_dict_round_trip_fields():
     assert d["records"][0] == {
         "i": 1, "v_i": 1, "d_i": 3, "J": 0, "K": 0, "L": 0, "X": 6,
         "X_star": 2.7, "new_vertices": [[2, 3], [3, 3], [4, 3]]}
+
+
+def test_records_are_immutable_and_hashable():
+    t = explore(K4, 1)
+    r = t.records[0]
+    with pytest.raises(AttributeError):
+        r.X = 5
+    assert hash(r) == hash(explore(K4, 1).records[0])
+    assert r._replace(X=5) != r and r._replace(X=5).X == 5
+    assert hash(t) == hash(explore(K4, 1))
 
 
 def test_explore_is_deterministic():
@@ -203,13 +213,13 @@ def test_checker_flags_corrupted_record():
     good = check_trace(t)
     assert good == []
     bad = replace(t, records=(t.records[0],
-                              replace(t.records[1], X=5),
+                              t.records[1]._replace(X=5),
                               t.records[2]))
     msgs = check_trace(bad)
     assert msgs  # X=5 breaks the chain into record 3 at least
     assert any("chain" in m or "x_prev" in m for m in msgs)
     # J+K+L exceeding d_i is flagged
-    bad2 = replace(t, records=(replace(t.records[0], J=9),) + t.records[1:])
+    bad2 = replace(t, records=(t.records[0]._replace(J=9),) + t.records[1:])
     assert any("J+K+L" in m for m in check_trace(bad2))
 
 
@@ -276,6 +286,10 @@ def test_explore_errors():
     seq = DegreeSequence([2, 2, 2])
     with pytest.raises(ValueError):
         explore_matching(seq, Matching.empty(seq).with_pair(0, 2), 1)
+    # full matchings on 4 and 8 half-edges do not fit the 6 of [2, 2, 2]
+    for partner in ([1, 0, 3, 2], [1, 0, 3, 2, 5, 4, 7, 6]):
+        with pytest.raises(ValueError, match="matching length does not fit"):
+            explore_matching(seq, Matching(partner), 1)
     with pytest.raises(ValueError):
         explore_revealing(seq, substream(0, 0), 1, mode="nope")
     with pytest.raises(ValueError):

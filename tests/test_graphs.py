@@ -66,6 +66,37 @@ def test_simple_graph_container():
         SimpleGraph(4, [(1, 5)])
 
 
+def test_simple_graph_error_messages():
+    with pytest.raises(ValueError, match=r"^loop at 1 in simple graph$"):
+        SimpleGraph(4, [(1, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(1,5\) out of range$"):
+        SimpleGraph(4, [(1, 5)])
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) out of range$"):
+        SimpleGraph(4, [(0, 1)])
+    # a loop outside 1..n is reported as a loop
+    with pytest.raises(ValueError, match=r"^loop at 5 in simple graph$"):
+        SimpleGraph(4, [(5, 5)])
+    for first, again in [((1, 2), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (1, 2))]:
+        with pytest.raises(ValueError, match=r"^duplicate edge \(1, 2\)$"):
+            SimpleGraph(4, [first, (3, 4), again])
+
+
+def test_simple_graph_reports_first_bad_edge():
+    # each input holds several faults; the earliest edge decides the message
+    with pytest.raises(ValueError, match="out of range"):
+        SimpleGraph(4, [(1, 2), (4, 9), (3, 3), (2, 1)])
+    with pytest.raises(ValueError, match="loop at 3"):
+        SimpleGraph(4, [(1, 2), (3, 3), (4, 9), (2, 1)])
+    with pytest.raises(ValueError, match="duplicate edge"):
+        SimpleGraph(4, [(1, 2), (2, 1), (3, 3), (4, 9)])
+
+
+def test_simple_graph_accepts_one_shot_iterator():
+    g = SimpleGraph(4, zip([3, 1, 1], [4, 2, 3]))
+    assert g.edges() == [(1, 2), (1, 3), (3, 4)] and g.m == 3
+    assert g.neighbors(1) == [2, 3] and g.neighbors(3) == [1, 4]
+
+
 def test_multigraph_to_simple():
     seq = DegreeSequence([2, 2, 2])
     m = (Matching.empty(seq).with_pair(0, 2).with_pair(1, 4)
