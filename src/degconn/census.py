@@ -7,8 +7,8 @@ _NAMED_SIGNATURES it gets that name (edge, paths, cycles, triangle with a
 pendant, K4 minus an edge, K4), otherwise other_small_<sorted degrees>.  A
 larger component is large_<v>v_<e>e, whatever its shape, so a 7-vertex
 cycle is large_7v_7e.  Sampled batches label components with one sparse
-connected-components pass; edge lists (single graphs, and the enumerated
-reference for the exact oracle) use union-find; the exact oracle counts
+connected-components pass; a single graph is grouped by the union-find in
+connected_components, the tests' reference; the exact oracle counts
 components per degree multiset without building a graph.  All three count
 components by an exact key and name each distinct key once.
 
@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,41 +60,21 @@ CLASS_INVARIANT_PAIRS = (
 )
 
 
-class UnionFind:
-    """Path-halving union-find over 1..n."""
+def connected_components(g: SimpleGraph) -> List[List[int]]:
+    """Sorted vertex lists of the components by least member (union-find)."""
+    parent = list(range(g.n + 1))
 
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
-        self.components = n
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
         return v
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
-
-
-def connected_components(g: SimpleGraph) -> List[List[int]]:
-    """Vertex sets of the components, each sorted, ordered by smallest member."""
-    uf = UnionFind(g.n)
     for u, v in g.edges():
-        uf.union(u, v)
+        parent[find(u)] = find(v)
     groups: Dict[int, List[int]] = {}
     for v in range(1, g.n + 1):
-        groups.setdefault(uf.find(v), []).append(v)
+        groups.setdefault(find(v), []).append(v)
     return sorted(groups.values())
 
 
@@ -122,12 +101,13 @@ def _large_name(nv: int, edge_count: int) -> str:
     return f"large_{nv}v_{edge_count}e"
 
 
-def classify_component(degrees: Sequence[int], edge_count: int) -> str:
+def classify_component(degrees: Sequence[int]) -> str:
     """Class key for one connected component given its vertex degrees (within
-    the component) and edge count: a named class from _NAMED_SIGNATURES,
-    else other_small_<sorted degrees> up to SMALL_COMPONENT_MAX vertices,
-    else large_<v>v_<e>e."""
+    the component, so it has sum(degrees) // 2 edges): a named class from
+    _NAMED_SIGNATURES, else other_small_<sorted degrees> up to
+    SMALL_COMPONENT_MAX vertices, else large_<v>v_<e>e."""
     nv = len(degrees)
+    edge_count = sum(degrees) // 2
     if nv > SMALL_COMPONENT_MAX:
         return _large_name(nv, edge_count)
     n1 = sum(1 for d in degrees if d == 1)
@@ -158,41 +138,17 @@ class ComponentTaxonomy:
         return {k: self.counts[k] for k in sorted(self.counts)}
 
 
-def _tally_edge_lists(n: int, degrees: Sequence[int],
-                      graphs: Iterable[Iterable[Tuple[int, int]]]
-                      ) -> Tuple[int, int, ComponentTaxonomy]:
-    """(graphs, connected graphs, taxonomy summed over them) for edge lists
-    on vertices 1..n that all realize `degrees`.  Components are counted by
-    sorted degree tuple, and each distinct tuple is named once at the end."""
-    whole = tuple(sorted(degrees))
-    shapes: Counter = Counter()
-    total = connected = 0
-    for edges in graphs:
-        uf = UnionFind(n)
-        for u, v in edges:
-            uf.union(u, v)
-        total += 1
-        if uf.components == 1:
-            connected += 1
-            shapes[whole] += 1
-            continue
-        groups: Dict[int, List[int]] = {}
-        for v in range(1, n + 1):
-            groups.setdefault(uf.find(v), []).append(degrees[v - 1])
-        shapes.update(tuple(sorted(g)) for g in groups.values())
-    return total, connected, _name_shapes(shapes)
-
-
 def _name_shapes(shapes: Dict[Tuple[int, ...], int]) -> ComponentTaxonomy:
     """Taxonomy of component counts given by sorted degree tuple."""
     tax = ComponentTaxonomy()
     for degs, c in shapes.items():
-        tax.add(classify_component(degs, sum(degs) // 2), c)
+        tax.add(classify_component(degs), c)
     return tax
 
 
 def classify_components(g: SimpleGraph) -> ComponentTaxonomy:
-    return _tally_edge_lists(g.n, g.degree_vector(), [g.edges()])[2]
+    return _name_shapes(Counter(tuple(sorted(g.degree(v) for v in comp))
+                                for comp in connected_components(g)))
 
 
 @dataclass(frozen=True)
@@ -211,7 +167,7 @@ def exact_connectivity_oracle(seq: DegreeSequence) -> ConnectivityOracle:
     """Exact P(connected) under the uniform simple-graph law, with the
     component taxonomy summed over all realizations, by counting over
     degree-class vectors (exact.count_connectivity) without enumerating a
-    graph.  _tally_edge_lists over enumerate_realizations is the
+    graph.  connected_components over enumerate_realizations is the
     independent reference the tests hold it to.  TooLarge above the
     enumeration limit (check_enumerable), which still guards this oracle."""
     check_enumerable(seq)
@@ -349,7 +305,7 @@ def _batch_census(seq: DegreeSequence, lo: np.ndarray, hi: np.ndarray,
         else:
             degs = [d for d in range(SMALL_COMPONENT_MAX)
                     for _ in range((key >> (_COUNT_BITS * d)) & _COUNT_MASK)]
-            name = classify_component(degs, sum(degs) // 2)
+            name = classify_component(degs)
         tally.taxonomy.add(name, int(cnt))
     return tally
 
@@ -406,6 +362,8 @@ def _census_tallies(runs: Sequence[Tuple[DegreeSequence, int]], trials: int,
         # load scipy.sparse before the pool forks, so the workers inherit it
         # instead of each importing it afresh
         import scipy.sparse.csgraph  # noqa: F401
+        # imported here: the pool is a large part of a cold `import degconn`
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(_census_batch_job, jobs, chunksize=1))
     else:

@@ -57,22 +57,28 @@ def _parse_family(spec: str) -> DegreeSequence:
 
 
 def _resolve_sequence(args) -> DegreeSequence:
-    if args.seq is not None:
-        return DegreeSequence(parse_sequence_text(args.seq))
-    if args.seq_file is not None:
-        return DegreeSequence(load_sequence_file(args.seq_file))
     if args.family is not None:
         return _parse_family(args.family)
-    raise UsageError("one of --seq, --seq-file, --family is required")
+    if args.seq is None and args.seq_file is None:
+        raise UsageError("one of --seq, --seq-file, --family is required")
+    try:
+        degrees = (parse_sequence_text(args.seq) if args.seq is not None
+                   else load_sequence_file(args.seq_file))
+    except (ValueError, OSError) as exc:
+        # malformed text, bad JSON or an unreadable file
+        raise UsageError(f"cannot read the degree sequence: {exc}") from exc
+    return DegreeSequence(degrees)
 
 
-def _resolve_sampler(choice: str, seq: DegreeSequence) -> str:
-    """auto: rejection unless the estimated simple-graph acceptance rate
-    exp(-nu/2 - nu^2/4), nu = sum d(d-1)/(2m), drops below 1%."""
+def _resolve_sampler(choice: str, seqs: Sequence[DegreeSequence]) -> str:
+    """auto: the switch chain when the estimated simple-graph acceptance
+    rate exp(-nu/2 - nu^2/4), nu = sum d(d-1)/(2m), of any of `seqs` is
+    below 1%, else rejection."""
     if choice != "auto":
         return choice
-    nu = sum(d * (d - 1) for d in seq.degrees) / (2 * seq.m)
-    return "rejection" if math.exp(-nu / 2 - nu * nu / 4) >= 0.01 else "switch-chain"
+    nus = (sum(d * (d - 1) for d in s.degrees) / (2 * s.m) for s in seqs)
+    dense = any(math.exp(-nu / 2 - nu * nu / 4) < 0.01 for nu in nus)
+    return "switch-chain" if dense else "rejection"
 
 
 def _emit(args, text: str) -> None:
@@ -135,7 +141,7 @@ def cmd_check(args) -> int:
 
 def cmd_sample(args) -> int:
     seq = _resolve_sequence(args)
-    sampler = _resolve_sampler(args.sampler, seq)
+    sampler = _resolve_sampler(args.sampler, [seq])
     steps = (chain_steps(args.steps, seq.m) if sampler == "switch-chain"
              else args.steps)
     graphs: List[List[List[int]]] = []
@@ -178,7 +184,7 @@ def cmd_explore(args) -> int:
         raise UsageError(f"--start must be in 1..{seq.n}, got {args.start}")
     trace, graph = explore_revealing(
         seq, substream(args.seed, 0), args.start, mode=args.mode,
-        sampler=_resolve_sampler(args.sampler, seq),
+        sampler=_resolve_sampler(args.sampler, [seq]),
         max_attempts=args.max_attempts, steps=args.steps)
     if args.format == "csv":
         _emit(args, trace.to_csv_text())
@@ -196,7 +202,7 @@ def cmd_explore(args) -> int:
 
 def cmd_census(args) -> int:
     seq = _resolve_sequence(args)
-    sampler = _resolve_sampler(args.sampler, seq)
+    sampler = _resolve_sampler(args.sampler, [seq])
     report = census_mod.estimate_disconnection(
         seq, args.trials, args.seed, sampler=sampler, steps=args.steps,
         threads=args.threads, max_attempts=args.max_attempts)
@@ -250,8 +256,7 @@ def cmd_tightness(args) -> int:
         raise UsageError(f"--sizes takes comma-separated integers, "
                          f"got {args.sizes!r}")
     # one sampler per table: the chain when any size needs it
-    resolved = {_resolve_sampler(args.sampler, family(s)) for s in sizes}
-    sampler = "switch-chain" if "switch-chain" in resolved else resolved.pop()
+    sampler = _resolve_sampler(args.sampler, [family(s) for s in sizes])
     table = census_mod.tightness_experiment(
         family, sizes, args.trials, args.seed,
         family_name=name, sampler=sampler, threads=args.threads)

@@ -231,7 +231,8 @@ def parse_sequence_text(text: str) -> List[int]:
         raise ValueError("empty sequence input")
     if stripped.startswith("["):
         data = json.loads(stripped)
-        if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+        # JSON true and false load as bool, which isinstance(x, int) admits
+        if not isinstance(data, list) or any(type(x) is not int for x in data):
             raise ValueError("JSON sequence must be an array of integers")
         return list(data)
     try:

@@ -17,8 +17,8 @@ other and every sampler:
 Which oracles count and which enumerate: exact_connectivity_oracle (in
 census) counts through count_connectivity; conditional_edge_probability here
 enumerates matchings; exact_multigraph_edge_component_mean (in census) is a
-closed form.  enumerate_realizations with census._tally_edge_lists stays the
-reference the tests hold the counting route to.  The first two refuse a
+closed form.  enumerate_realizations with census.connected_components stays
+the reference the tests hold the counting route to.  The first two refuse a
 sequence with more than ENUMERATION_MAX_HALF_EDGES = 20 half-edges through
 check_enumerable; counting would reach further, but the guard is unchanged.
 conditional_edge_probability also refuses more than EXTENSION_MAX = (15)!!

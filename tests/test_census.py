@@ -24,7 +24,7 @@ from degconn import (ComponentTaxonomy, DegreeSequence, Matching, SimpleGraph,
 from degconn import census as census_mod
 from degconn import sampler as sampler_mod
 from degconn.census import (_NAMED_SIGNATURES, _batch_census,
-                            _tally_edge_lists, clopper_pearson_interval,
+                            clopper_pearson_interval,
                             exact_multigraph_edge_component_mean,
                             large_component_threshold,
                             multigraph_edge_component_stats, wilson_interval)
@@ -37,21 +37,21 @@ from degconn.streams import batch_ranges, substream
 
 
 def test_classify_component_named_classes():
-    assert classify_component([1, 1], 1) == "edge"
-    assert classify_component([1, 2, 1], 2) == "path_len_2"
-    assert classify_component([1, 2, 2, 2, 1], 4) == "path_len_4"
-    assert classify_component([2, 2, 2], 3) == "triangle"
-    assert classify_component([2, 2, 2, 2], 4) == "cycle_len_4"
-    assert classify_component([2, 2, 2, 2, 2, 2], 6) == "cycle_len_6"
-    assert classify_component([1, 2, 2, 3], 4) == "triangle_pendant"
-    assert classify_component([2, 2, 3, 3], 5) == "k4_minus_e"
-    assert classify_component([3, 3, 3, 3], 6) == "k4"
+    assert classify_component([1, 1]) == "edge"
+    assert classify_component([1, 2, 1]) == "path_len_2"
+    assert classify_component([1, 2, 2, 2, 1]) == "path_len_4"
+    assert classify_component([2, 2, 2]) == "triangle"
+    assert classify_component([2, 2, 2, 2]) == "cycle_len_4"
+    assert classify_component([2, 2, 2, 2, 2, 2]) == "cycle_len_6"
+    assert classify_component([1, 2, 2, 3]) == "triangle_pendant"
+    assert classify_component([2, 2, 3, 3]) == "k4_minus_e"
+    assert classify_component([3, 3, 3, 3]) == "k4"
     # star K_{1,3}: a tree but with 3 leaves, so not a path
-    assert classify_component([1, 1, 1, 3], 3) == "other_small_1113"
-    assert classify_component([1] * 6 + [6], 6) == "large_7v_6e"
+    assert classify_component([1, 1, 1, 3]) == "other_small_1113"
+    assert classify_component([1] * 6 + [6]) == "large_7v_6e"
     # paths and cycles are named only up to 6 vertices
-    assert classify_component([1, 2, 2, 2, 2, 2, 1], 6) == "large_7v_6e"
-    assert classify_component([2] * 7, 7) == "large_7v_7e"
+    assert classify_component([1, 2, 2, 2, 2, 2, 1]) == "large_7v_6e"
+    assert classify_component([2] * 7) == "large_7v_7e"
 
 
 def test_named_signatures_match_small_graph_atlas():
@@ -81,7 +81,7 @@ def test_named_signatures_match_small_graph_atlas():
             continue
         degs = sorted(d for _, d in g.degree())
         sig = (nv, g.number_of_edges(), sum(1 for d in degs if d == 1))
-        cls = classify_component(degs, g.number_of_edges())
+        cls = classify_component(degs)
         if sig in _NAMED_SIGNATURES:
             assert cls == _NAMED_SIGNATURES[sig], (sig, cls)
             assert nx.is_isomorphic(g, reference[cls]), (sig, cls)
@@ -97,6 +97,29 @@ def test_connected_components_examples():
     two = SimpleGraph(4, [(1, 3), (2, 4)])
     assert connected_components(two) == [[1, 3], [2, 4]]
     assert classify_components(two).counts == Counter({"edge": 2})
+
+
+@st.composite
+def simple_graphs(draw):
+    """Random simple graphs on 1..n, with isolated vertices and with no
+    edges at all among them."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)
+                 if pairs else st.just([]))
+    return SimpleGraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(simple_graphs())
+def test_grouping_and_naming_match_networkx(g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(1, g.n + 1))
+    ref.add_edges_from(g.edges())
+    components = [sorted(c) for c in nx.connected_components(ref)]
+    assert connected_components(g) == sorted(components)
+    assert classify_components(g).counts == Counter(
+        classify_component([ref.degree(v) for v in c]) for c in components)
 
 
 def test_oracle_frozen_values():
@@ -135,10 +158,20 @@ def test_oracle_and_census_share_component_keys(degrees, whole):
 
 def _enumerated_oracle(degrees):
     """(P(connected), realization count, taxonomy totals) by enumerating
-    every realization: the reference for the counting oracle."""
-    total, connected, tax = _tally_edge_lists(
-        len(degrees), degrees, enumerate_realizations(degrees))
-    return Fraction(connected, total), total, tax.counts
+    every realization and grouping it with connected_components: the
+    reference for the counting oracle."""
+    shapes = Counter()
+    total = connected = 0
+    for edges in enumerate_realizations(degrees):
+        components = connected_components(SimpleGraph(len(degrees), edges))
+        total += 1
+        connected += len(components) == 1
+        shapes.update(tuple(sorted(degrees[v - 1] for v in comp))
+                      for comp in components)
+    counts = Counter()
+    for degs, c in shapes.items():
+        counts[classify_component(degs)] += c
+    return Fraction(connected, total), total, counts
 
 
 def _counted_oracle(degrees):
@@ -269,7 +302,8 @@ class RecordingPool:
     (1, 8, None),
 ])
 def test_thread_count_is_clamped(monkeypatch, threads, cpus, workers):
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cpus)
     RecordingPool.workers = []
     seq = DegreeSequence([1, 1, 2, 2])
@@ -280,7 +314,8 @@ def test_thread_count_is_clamped(monkeypatch, threads, cpus, workers):
 
 
 def test_tightness_experiment_opens_one_pool(monkeypatch):
-    monkeypatch.setattr(census_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 8)
     RecordingPool.workers = []
     RecordingPool.maps = []
@@ -321,6 +356,11 @@ def scipy_loaded(code, module="scipy.stats"):
 
 def test_import_leaves_scipy_stats_out():
     assert not scipy_loaded("import degconn")
+
+
+def test_import_leaves_process_pool_out():
+    # only a run with more than one worker opens the pool
+    assert not scipy_loaded("import degconn", "concurrent.futures.process")
 
 
 def test_tightness_experiment_leaves_scipy_stats_out():
@@ -387,7 +427,7 @@ def coo_census_reference(seq, lo, hi, threshold):
         tally.second_largest_edges[comps[1][0] if len(comps) > 1 else 0] += 1
         for e, c in comps:
             degs = [seq.degrees[v] for v in range(n) if labels[g * n + v] == c]
-            tally.taxonomy.add(classify_component(degs, e))
+            tally.taxonomy.add(classify_component(degs))
     return tally
 
 

@@ -83,6 +83,29 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, "check", "--family", "regular:d=x")[0] == 1
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--seq", "1 x"),
+    ("--seq", "[1.5, 0.5]"),
+    ("--seq", "[1, 1"),
+    # JSON booleans would load as the integers 1 and 0
+    ("--seq", "[true, true]"),
+    ("--seq-file", "missing.txt"),
+    ("--seq-file", "."),
+    ("--seq-file", "latin1.txt"),
+])
+def test_malformed_sequence_is_a_usage_error(capsys, tmp_path, monkeypatch,
+                                             flag, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.txt").write_bytes(b"2 2 \xe9")
+    code, out, err = run(capsys, "check", flag, value, "--error-json")
+    assert code == 1 and err == ""
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError" and error["exit_code"] == 1
+    code, out, err = run(capsys, "check", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cannot read the degree sequence")
+
+
 def test_unknown_family_exits_2(capsys):
     code, _, err = run(capsys, "check", "--family", "nope:n=4")
     assert code == 2

@@ -216,6 +216,8 @@ def test_parse_sequence_text():
         parse_sequence_text("a b")
     with pytest.raises(ValueError):
         parse_sequence_text("")
+    with pytest.raises(ValueError, match="array of integers"):
+        parse_sequence_text("[true, 1]")
 
 
 def test_load_sequence_file(tmp_path):
