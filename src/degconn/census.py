@@ -194,13 +194,15 @@ def wilson_interval(successes: int, trials: int,
 
 def clopper_pearson_interval(successes: int, trials: int,
                              alpha: float = 0.05) -> Tuple[float, float]:
-    # scipy.stats takes most of a cold `import degconn`; only this needs it
-    from scipy.stats import beta
+    # betaincinv(a, b, q) is the Beta(a, b) quantile scipy.stats.beta.ppf
+    # computes, without importing scipy.stats; imported here so that
+    # `import degconn` stays cheap
+    from scipy.special import betaincinv
 
     lo = 0.0 if successes == 0 else float(
-        beta.ppf(alpha / 2, successes, trials - successes + 1))
+        betaincinv(successes, trials - successes + 1, alpha / 2))
     hi = 1.0 if successes == trials else float(
-        beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        betaincinv(successes + 1, trials - successes, 1 - alpha / 2))
     return lo, hi
 
 

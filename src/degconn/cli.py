@@ -23,6 +23,7 @@ from .degseq import (DegreeSequence, compute_invariants, load_sequence_file,
                      parse_sequence_text, theorem1_bound)
 from .errors import DegconnError, InfeasibleFamily, TrialsTooFew
 from .explore import explore_revealing
+from .graphs import matching_edges
 from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps
 from .streams import BATCH_SIZE, batch_ranges, substream
 
@@ -182,19 +183,20 @@ def cmd_explore(args) -> int:
     seq = _resolve_sequence(args)
     if not 1 <= args.start <= seq.n:
         raise UsageError(f"--start must be in 1..{seq.n}, got {args.start}")
-    trace, graph = explore_revealing(
+    trace, drawn = explore_revealing(
         seq, substream(args.seed, 0), args.start, mode=args.mode,
         sampler=_resolve_sampler(args.sampler, [seq]),
         max_attempts=args.max_attempts, steps=args.steps)
     if args.format == "csv":
         _emit(args, trace.to_csv_text())
     else:
+        edges = (matching_edges(seq, drawn) if args.mode == "multigraph"
+                 else drawn.edges())
         payload = {
             "config": _config_dict(args, "explore", seq, mode=args.mode,
                                    start=args.start),
             "trace": trace.to_json_dict(),
-            "graph": {"n": seq.n,
-                      "edges": [[u, v] for u, v in graph.edges()]},
+            "graph": {"n": seq.n, "edges": [[u, v] for u, v in edges]},
         }
         _emit(args, _dump_json(payload))
     return 0

@@ -13,6 +13,7 @@ arbitrary precision) with float mirrors for reporting.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List
 
@@ -133,6 +134,7 @@ def validate_sequence(degrees: Iterable[int]) -> DegreeSequence:
     return seq
 
 
+@dataclass(frozen=True)
 class InvariantSet:
     """The six u-invariants plus d_star and delta_star for one sequence.
 
@@ -142,19 +144,14 @@ class InvariantSet:
     FIELDS = ("u_edge", "u_triangle", "u_triangle_pendant",
               "u_k4_minus_e", "u_k4", "u_k5_plus")
 
-    def __init__(self, u_edge, u_triangle, u_triangle_pendant,
-                 u_k4_minus_e, u_k4, u_k5_plus, d_star, delta_star):
-        self.u_edge = Fraction(u_edge)
-        self.u_triangle = Fraction(u_triangle)
-        self.u_triangle_pendant = Fraction(u_triangle_pendant)
-        self.u_k4_minus_e = Fraction(u_k4_minus_e)
-        self.u_k4 = Fraction(u_k4)
-        self.u_k5_plus = Fraction(u_k5_plus)
-        self.d_star = int(d_star)
-        self.delta_star = int(delta_star)
-
-    def us(self) -> Dict[str, Fraction]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+    u_edge: Fraction
+    u_triangle: Fraction
+    u_triangle_pendant: Fraction
+    u_k4_minus_e: Fraction
+    u_k4: Fraction
+    u_k5_plus: Fraction
+    d_star: int
+    delta_star: int
 
     def to_json_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {}
@@ -165,17 +162,6 @@ class InvariantSet:
         out["d_star"] = self.d_star
         out["delta_star"] = self.delta_star
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InvariantSet):
-            return NotImplemented
-        return (self.us() == other.us() and self.d_star == other.d_star
-                and self.delta_star == other.delta_star)
-
-    def __repr__(self) -> str:
-        parts = [f"{k}={v}" for k, v in self.us().items()]
-        parts += [f"d_star={self.d_star}", f"delta_star={self.delta_star}"]
-        return "InvariantSet(" + ", ".join(parts) + ")"
 
 
 def compute_invariants(seq: DegreeSequence) -> InvariantSet:

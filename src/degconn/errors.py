@@ -36,11 +36,6 @@ class InfeasibleFamily(SequenceError):
     pass
 
 
-class PartialMatching(DegconnError):
-    """A full matching was required but unmatched half-edges remain."""
-    exit_code = 2
-
-
 class InvalidSwitch(DegconnError):
     """A switching precondition failed; message names the violated condition."""
     exit_code = 2

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -326,19 +327,22 @@ def conditional_edge_probability(seq: DegreeSequence, partial: Matching,
                                  hv: int, hw: int) -> Fraction:
     """Exact P(hv matched to hw | partial submatching, result simple).
 
-    hv and hw are global half-edge ids.  Probability over uniformly random
-    full matchings extending `partial`, conditioned on the multigraph being
-    simple.  Exhaustive, so guarded twice: check_enumerable first, then
-    TooLarge when the f free half-edges have more than EXTENSION_MAX =
-    (15)!! extensions ((f - 1)!! of them).
+    hv and hw are global half-edge ids (any integer type; a float is
+    refused).  Probability over uniformly random full matchings extending
+    `partial`, conditioned on the multigraph being simple.  A `partial`
+    whose length is not 2m raises ValueError.  Exhaustive, so guarded
+    twice: check_enumerable first, then TooLarge when the f free half-edges
+    have more than EXTENSION_MAX = (15)!! extensions ((f - 1)!! of them).
     """
     check_enumerable(seq)
+    if len(partial) != 2 * seq.m:
+        raise ValueError("matching length does not fit the sequence")
     free = partial.partner.count(UNMATCHED)
     extensions = math.prod(range(free - 1, 0, -2))
     if extensions > EXTENSION_MAX:
         raise TooLarge(f"{free} free half-edges have {extensions} "
                        f"extensions, over the limit of {EXTENSION_MAX}")
-    a, b = int(hv), int(hw)
+    a, b = operator.index(hv), operator.index(hw)
     if a == b:
         raise ValueError("hv and hw are the same half-edge")
     if half_edge_owner(seq, a) == half_edge_owner(seq, b):

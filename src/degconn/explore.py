@@ -36,7 +36,7 @@ import numpy as np
 
 from .census import sample_batch
 from .degseq import DegreeSequence
-from .graphs import Matching, SimpleGraph, matching_to_multigraph, owner_array
+from .graphs import Matching, SimpleGraph, partner_owners
 from .sampler import DEFAULT_MAX_ATTEMPTS, chain_steps, random_matching
 
 # X* truncation parameters; kept as named constants so experiments can vary
@@ -203,11 +203,7 @@ def explore_matching(seq: DegreeSequence, matching: Matching,
     """Deterministic exploration replay on a fixed full matching (multigraph
     configuration).  Half-edges of v_i are exposed in ascending slot order;
     each half-edge of a loop counts 1 toward L_i."""
-    if len(matching) != 2 * seq.m:
-        raise ValueError("matching length does not fit the sequence")
-    if not matching.is_full:
-        raise ValueError("explore_matching needs a full matching")
-    far = owner_array(seq)[matching.partner].tolist()
+    far = partner_owners(seq, matching).tolist()
     offsets = seq.half_edge_offsets
     partners = [[]] + [far[offsets[v - 1]:offsets[v]]
                        for v in range(1, seq.n + 1)]
@@ -227,14 +223,15 @@ def explore_revealing(seq: DegreeSequence, rng: np.random.Generator,
     simple-conditioned mode: samples a uniform simple graph and replays
     explore.  Draw order: one census.sample_batch(seq, sampler, 1, rng,
     steps, max_attempts) call, so the graph is row 0 of that sampler's batch
-    of one.  Returns (trace, realized graph).  A negative `steps` raises
+    of one.  Returns (trace, drawn object): the `Matching` in multigraph
+    mode (`graphs.matching_edges` projects it to owner pairs), the
+    `SimpleGraph` in simple-conditioned mode.  A negative `steps` raises
     DegconnError in either mode.
     """
     steps = chain_steps(steps, seq.m)
     if mode == "multigraph":
         matching = random_matching(seq, rng)
-        trace = explore_matching(seq, matching, start)
-        return trace, matching_to_multigraph(seq, matching)
+        return explore_matching(seq, matching, start), matching
     if mode == "simple-conditioned":
         lo, hi, _ = sample_batch(seq, sampler, 1, rng, steps, max_attempts)
         g = SimpleGraph(seq.n, zip(lo[0].tolist(), hi[0].tolist()))

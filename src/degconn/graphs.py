@@ -1,4 +1,4 @@
-"""Half-edges, matchings, and the two graph types the samplers produce.
+"""Half-edges, matchings, and the simple graphs the samplers produce.
 
 Half-edge global ids are fixed by degree prefix sums over vertex labels
 1..n: vertex v owns ids offsets[v-1] .. offsets[v]-1, slot s mapping to id
@@ -10,13 +10,11 @@ int; owner_array maps every id to its owner at once.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from typing import Iterable, List, NoReturn, Sequence, Tuple
 
 import numpy as np
 
 from .degseq import DegreeSequence
-from .errors import PartialMatching
 
 UNMATCHED = -1
 
@@ -96,59 +94,6 @@ class Matching:
 
     def __repr__(self):
         return f"Matching({self.partner})"
-
-
-class MultiGraph:
-    """Multigraph on 1..n: edge multiset with loops, degrees count loops twice."""
-
-    __slots__ = ("n", "edge_counts")
-
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
-        self.n = n
-        counts: Counter = Counter()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            counts[(min(u, v), max(u, v))] += 1
-        self.edge_counts = counts
-
-    def degree(self, v: int) -> int:
-        total = 0
-        for (a, b), c in self.edge_counts.items():
-            if a == v:
-                total += c
-            if b == v:
-                total += c  # loop contributes twice via both branches
-        return total
-
-    def degree_vector(self) -> List[int]:
-        degs = [0] * self.n
-        for (a, b), c in self.edge_counts.items():
-            degs[a - 1] += c
-            degs[b - 1] += c
-        return degs
-
-    @property
-    def is_simple(self) -> bool:
-        return all(a != b and c == 1 for (a, b), c in self.edge_counts.items())
-
-    def loop_count(self) -> int:
-        return sum(c for (a, b), c in self.edge_counts.items() if a == b)
-
-    def edges(self) -> List[Tuple[int, int]]:
-        """Sorted edge list with multiplicity (loops once per occurrence)."""
-        out = []
-        for (a, b) in sorted(self.edge_counts):
-            out.extend([(a, b)] * self.edge_counts[(a, b)])
-        return out
-
-    def to_simple(self) -> "SimpleGraph":
-        if not self.is_simple:
-            raise ValueError("multigraph has loops or parallel edges")
-        return SimpleGraph(self.n, self.edges())
-
-    def __repr__(self):
-        return f"MultiGraph(n={self.n}, edges={self.edges()})"
 
 
 def _refuse_edge(n: int, u: int, v: int, key: Tuple[int, int]) -> NoReturn:
@@ -231,12 +176,24 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={self.edges()})"
 
 
-def matching_to_multigraph(seq: DegreeSequence, matching: Matching) -> MultiGraph:
-    """Projection of a full matching to its half-edge labelled multigraph."""
+def partner_owners(seq: DegreeSequence, matching: Matching) -> np.ndarray:
+    """far[h] = owner of h's partner, for a full matching of seq's half-edges.
+
+    The one check that a matching is full and fits the sequence: a wrong
+    length or an unmatched half-edge raises ValueError."""
     if len(matching) != 2 * seq.m:
         raise ValueError("matching length does not fit the sequence")
     if not matching.is_full:
-        raise PartialMatching("matching has unmatched half-edges")
-    owner = owner_array(seq).tolist()
-    return MultiGraph(seq.n, [(owner[h], owner[p])
-                              for h, p in matching.pairs()])
+        raise ValueError("matching has unmatched half-edges")
+    return owner_array(seq)[matching.partner]
+
+
+def matching_edges(seq: DegreeSequence,
+                   matching: Matching) -> List[Tuple[int, int]]:
+    """The owner pair (lo, hi) of each matched pair of a full matching,
+    sorted with multiplicity; a loop at v is (v, v)."""
+    far = partner_owners(seq, matching)
+    owner = owner_array(seq)
+    first = np.arange(far.size) < matching.partner  # h < partner[h]
+    return sorted(zip(np.minimum(owner, far)[first].tolist(),
+                      np.maximum(owner, far)[first].tolist()))

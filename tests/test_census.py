@@ -363,6 +363,13 @@ def test_import_leaves_process_pool_out():
     assert not scipy_loaded("import degconn", "concurrent.futures.process")
 
 
+def test_census_leaves_scipy_stats_out():
+    # the Clopper-Pearson interval reads scipy.special, not scipy.stats
+    assert not scipy_loaded(
+        "from degconn import DegreeSequence, estimate_disconnection\n"
+        "estimate_disconnection(DegreeSequence([2] * 6), 200, 1)")
+
+
 def test_tightness_experiment_leaves_scipy_stats_out():
     # the table needs no confidence interval
     assert not scipy_loaded(
@@ -462,6 +469,17 @@ def test_interval_functions():
     assert cl <= wl and ch >= wh
     with pytest.raises(ValueError):
         wilson_interval(1, 0)
+    # betaincinv(a, b, q) gives the same float as beta.ppf(q, a, b)
+    from scipy.stats import beta
+    for trials in (1, 2, 7, 50, 500, 2600, 20000):
+        for successes in sorted({0, 1, min(2, trials), trials // 3,
+                                 trials // 2, trials - 1, trials}):
+            for alpha in (0.05, 0.01):
+                lo, hi = clopper_pearson_interval(successes, trials, alpha)
+                assert lo == (0.0 if successes == 0 else float(beta.ppf(
+                    alpha / 2, successes, trials - successes + 1)))
+                assert hi == (1.0 if successes == trials else float(beta.ppf(
+                    1 - alpha / 2, successes + 1, trials - successes)))
 
 
 def _enumerated_multigraph_edge_component_mean(seq):

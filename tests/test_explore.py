@@ -10,7 +10,7 @@ import pytest
 from degconn import (DegreeSequence, Matching, SimpleGraph, check_trace,
                      connected_components, explore, explore_components,
                      explore_matching, explore_revealing,
-                     havel_hakimi_construct, matching_to_multigraph,
+                     havel_hakimi_construct, matching_edges,
                      truncated_increment)
 from degconn.census import sample_batch
 from degconn.exact import graphical_multisets, iter_matching_extensions
@@ -95,10 +95,10 @@ def test_explore_matching_agrees_on_simple_matchings():
     for degrees in graphical_multisets(8):
         seq = DegreeSequence(degrees)
         for matching in iter_matching_extensions(seq, Matching.empty(seq)):
-            mg = matching_to_multigraph(seq, matching)
-            if not mg.is_simple:
-                continue
-            g = mg.to_simple()
+            try:
+                g = SimpleGraph(seq.n, matching_edges(seq, matching))
+            except ValueError:
+                continue  # a loop or a double edge
             for start in range(1, seq.n + 1):
                 assert fields(explore_matching(seq, matching, start)) == \
                     fields(explore(g, start))
@@ -237,9 +237,11 @@ def test_multigraph_reveal_matches_enumeration():
     trials = 15000
     got = Counter()
     for _ in range(trials):
-        trace, mg = explore_revealing(seq, rng, 1, mode="multigraph")
+        trace, matching = explore_revealing(seq, rng, 1, mode="multigraph")
         got[key(trace)] += 1
-        assert mg.degree_vector() == [2, 2, 2]
+        ends = Counter(v for edge in matching_edges(seq, matching)
+                       for v in edge)
+        assert ends == {1: 2, 2: 2, 3: 2}  # a loop counts twice
     assert set(got) == set(exact)
     for k, c in exact.items():
         assert abs(got[k] / trials - c / total) < 0.02

@@ -1,10 +1,14 @@
 """Half-edge bookkeeping, matchings, and graph containers."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degconn import (DegreeSequence, Matching, MultiGraph, PartialMatching,
-                     SimpleGraph, half_edge, half_edge_owner,
-                     matching_to_multigraph)
+import degconn
+from degconn import (DegreeSequence, Matching, SimpleGraph, half_edge,
+                     half_edge_owner, matching_edges, random_matching)
+from degconn.streams import substream
 
 
 def test_half_edge_ids_and_owners():
@@ -31,21 +35,22 @@ def test_matching_involution_and_pairs():
         Matching([1, 0, 3, 1])
 
 
-def test_matching_to_multigraph_counts_loops_and_doubles():
+def test_matching_edges_counts_loops_and_doubles():
     seq = DegreeSequence([2, 2])
-    # double edge between the two vertices
+    # double edge between the two vertices: the pair twice, not simple
     double = Matching.empty(seq).with_pair(0, 2).with_pair(1, 3)
-    mg = matching_to_multigraph(seq, double)
-    assert mg.edge_counts == {(1, 2): 2}
-    assert not mg.is_simple
-    assert mg.degree(1) == 2
-    # two loops
+    assert matching_edges(seq, double) == [(1, 2), (1, 2)]
+    with pytest.raises(ValueError, match="duplicate edge"):
+        SimpleGraph(seq.n, matching_edges(seq, double))
+    # two loops, one at each vertex
     loops = Matching.empty(seq).with_pair(0, 1).with_pair(2, 3)
-    mg2 = matching_to_multigraph(seq, loops)
-    assert mg2.loop_count() == 2
-    assert mg2.degree(1) == 2  # a loop contributes 2
-    with pytest.raises(PartialMatching):
-        matching_to_multigraph(seq, Matching.empty(seq).with_pair(0, 2))
+    assert matching_edges(seq, loops) == [(1, 1), (2, 2)]
+    with pytest.raises(ValueError, match="loop at 1"):
+        SimpleGraph(seq.n, matching_edges(seq, loops))
+    with pytest.raises(ValueError, match="unmatched half-edges"):
+        matching_edges(seq, Matching.empty(seq).with_pair(0, 2))
+    with pytest.raises(ValueError, match="matching length does not fit"):
+        matching_edges(seq, Matching([1, 0]))
 
 
 def test_simple_graph_container():
@@ -97,12 +102,33 @@ def test_simple_graph_accepts_one_shot_iterator():
     assert g.neighbors(1) == [2, 3] and g.neighbors(3) == [1, 4]
 
 
-def test_multigraph_to_simple():
+def test_matching_edges_of_simple_triangle():
     seq = DegreeSequence([2, 2, 2])
     m = (Matching.empty(seq).with_pair(0, 2).with_pair(1, 4)
          .with_pair(3, 5))
-    mg = matching_to_multigraph(seq, m)
-    assert mg.is_simple
-    g = mg.to_simple()
+    assert matching_edges(seq, m) == [(1, 2), (1, 3), (2, 3)]
+    g = SimpleGraph(seq.n, matching_edges(seq, m))
     assert g.edges() == [(1, 2), (1, 3), (2, 3)]
-    assert mg.degree_vector() == [2, 2, 2]
+    assert g.degree_vector() == [2, 2, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+def test_matching_edges_projects_every_pair(degrees, seed):
+    if sum(degrees) % 2:
+        degrees.append(1)
+    seq = DegreeSequence(degrees)
+    edges = matching_edges(seq, random_matching(seq, substream(seed, 0)))
+    assert len(edges) == seq.m
+    assert edges == sorted(edges) and all(u <= v for u, v in edges)
+    ref = nx.MultiGraph()
+    ref.add_nodes_from(range(1, seq.n + 1))
+    ref.add_edges_from(edges)  # a loop counts 2 toward its vertex's degree
+    assert [ref.degree(v) for v in range(1, seq.n + 1)] == seq.degrees
+
+
+def test_public_names_resolve_once():
+    assert len(degconn.__all__) == len(set(degconn.__all__))
+    for name in degconn.__all__:
+        assert hasattr(degconn, name), name

@@ -547,6 +547,19 @@ def test_conditional_oracle_errors():
     s22 = DegreeSequence([2, 2])
     with pytest.raises(ValueError):
         conditional_edge_probability(s22, Matching.empty(s22), 0, 1)
+    # a partial matching on 2 or 6 half-edges does not fit the 4 of s4
+    for partner in ([-1, -1], [-1] * 6):
+        with pytest.raises(ValueError,
+                           match="matching length does not fit"):
+            conditional_edge_probability(s4, Matching(partner), 0, 1)
+    # a float id is refused, not truncated; numpy integers are ids
+    empty4 = Matching.empty(s4)
+    with pytest.raises(TypeError):
+        conditional_edge_probability(s4, empty4, 0, 2.7)
+    with pytest.raises(TypeError):
+        conditional_edge_probability(s4, empty4, 0.0, 1)
+    assert conditional_edge_probability(
+        s4, empty4, np.int64(0), np.int32(2)) == Fraction(1, 3)
 
 
 def test_conditional_oracle_refuses_too_many_extensions():
