@@ -143,8 +143,7 @@ def cmd_check(args) -> int:
 def cmd_sample(args) -> int:
     seq = _resolve_sequence(args)
     sampler = _resolve_sampler(args.sampler, [seq])
-    steps = (chain_steps(args.steps, seq.m) if sampler == "switch-chain"
-             else args.steps)
+    steps = chain_steps(args.steps, seq.m)
     graphs: List[List[List[int]]] = []
     for b, start, stop in batch_ranges(args.trials, BATCH_SIZE):
         lo, hi, _ = census_mod.sample_batch(seq, sampler, stop - start,
@@ -154,8 +153,9 @@ def cmd_sample(args) -> int:
                    for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
     if args.format == "json":
         payload = {
-            "config": _config_dict(args, "sample", seq, resolved_sampler=sampler,
-                                   resolved_steps=steps),
+            "config": _config_dict(
+                args, "sample", seq, resolved_sampler=sampler,
+                resolved_steps=steps if sampler == "switch-chain" else None),
             "n": seq.n,
             "graphs": [{"n": seq.n, "edges": g} for g in graphs],
         }
@@ -171,7 +171,8 @@ def cmd_sample(args) -> int:
 def cmd_explore(args) -> int:
     # the multigraph mode draws a matching, with no sampler to configure
     given = [flag for flag, value in (("--sampler", args.sampler),
-                                      ("--max-attempts", args.max_attempts))
+                                      ("--max-attempts", args.max_attempts),
+                                      ("--steps", args.steps))
              if value is not None]
     if args.mode == "multigraph" and given:
         raise UsageError(f"explore --mode multigraph does not take "

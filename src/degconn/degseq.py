@@ -13,6 +13,7 @@ arbitrary precision) with float mirrors for reporting.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List
@@ -63,16 +64,19 @@ def erdos_gallai(degrees: Iterable[int]) -> bool:
 class DegreeSequence:
     """Validated degree multiset with cached aggregates.
 
-    Construction enforces positivity and even sum; graphicality is checked by
-    validate_sequence() (the configuration model is happy to run on even-sum
-    sequences with no simple realization, so the type allows them).
+    Each degree is read through operator.index, so Python and numpy integers
+    pass and a float or a string raises TypeError instead of being truncated
+    or parsed.  Construction enforces positivity and even sum; graphicality
+    is checked by validate_sequence() (the configuration model is happy to
+    run on even-sum sequences with no simple realization, so the type allows
+    them).
     """
 
     __slots__ = ("degrees", "n", "m", "counts", "dmax", "sorted_degrees",
                  "_graphical", "half_edge_offsets")
 
     def __init__(self, degrees: Iterable[int]):
-        degs = [int(d) for d in degrees]
+        degs = [operator.index(d) for d in degrees]
         if not degs:
             raise ZeroDegree("empty degree list")
         for d in degs:

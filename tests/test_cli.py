@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from degconn.cli import main
+from degconn.sampler import default_chain_steps
 
 K4_CSV = ("i,v_i,d_i,J,K,L,X,X_star\r\n"
           "1,1,3,0,0,0,6,2.7\r\n"
@@ -191,7 +192,7 @@ def test_negative_steps_exit_1_in_multigraph_explore(capsys):
 def test_multigraph_explore_refuses_sampler_flags(capsys):
     base = ("explore", "--seq", "2 2 2 2", "--mode", "multigraph")
     for flags in (["--sampler", "switch-chain"], ["--sampler", "auto"],
-                  ["--max-attempts", "1"]):
+                  ["--max-attempts", "1"], ["--steps", "50"]):
         code, out, err = run(capsys, *base, *flags)
         assert code == 1, flags
         assert out == "" and "usage error" in err and flags[0] in err
@@ -280,6 +281,19 @@ def test_sample_switch_chain(capsys):
             degs[u] += 1
             degs[v] += 1
         assert degs[1:] == [1, 1, 2, 2, 3, 3]
+
+
+def test_sample_resolved_steps_only_when_the_chain_ran(capsys):
+    base = ("sample", "--seq", "1 1 2 2 3 3", "--trials", "2", "--seed", "4")
+    for flags, steps in ((["--sampler", "rejection", "--steps", "50"], None),
+                         (["--sampler", "rejection"], None),
+                         (["--steps", "50"], None),  # auto picks rejection
+                         (["--sampler", "switch-chain", "--steps", "50"], 50),
+                         (["--sampler", "switch-chain"],
+                          default_chain_steps(6))):
+        code, out, _ = run(capsys, *base, *flags)
+        assert code == 0, flags
+        assert json.loads(out)["config"]["resolved_steps"] == steps, flags
 
 
 def test_auto_sampler_picks_chain_when_dense(capsys):

@@ -6,6 +6,7 @@ import time
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,18 @@ def test_constructor_rejections():
         DegreeSequence([-1, 1])
     with pytest.raises(SequenceError):
         DegreeSequence([])
+
+
+def test_constructor_refuses_non_integral_degrees():
+    # a float used to be truncated ([2.7, 1.2, 1.9] became [2, 1, 1]) and a
+    # string parsed
+    for degrees in ([2.7, 1.2, 1.9], [2.0, 2, 2], ["2", "2", "2"]):
+        with pytest.raises(TypeError):
+            DegreeSequence(degrees)
+    s = DegreeSequence(np.array([2, 2, 2], dtype=np.int64))
+    assert s.degrees == [2, 2, 2]
+    assert all(type(d) is int for d in s.degrees)
+    assert DegreeSequence([np.int32(1), np.uint8(1)]).m == 1
 
 
 def test_validate_sequence_graphicality():

@@ -20,6 +20,7 @@ from degconn import families
 from degconn import sampler as sampler_mod
 from degconn.census import sample_batch
 from degconn.errors import NotExtendable, TooLarge
+from degconn.exact import count_connectivity
 from degconn.graphs import owner_array
 from degconn.sampler import switch_chain_batch
 from degconn.streams import substream
@@ -395,8 +396,8 @@ def test_switching_preserves_degrees():
 def test_default_chain_steps():
     assert default_chain_steps(0) == 0
     assert default_chain_steps(1) == 0
-    assert default_chain_steps(2) == 2 * 20 * 1
-    assert default_chain_steps(8) == 8 * 20 * 3
+    assert default_chain_steps(2) == 2 * 8 * 1
+    assert default_chain_steps(8) == 8 * 8 * 3
 
 
 def test_switch_chain_uniform_on_perfect_matchings():
@@ -488,6 +489,38 @@ def test_switch_chain_batch_agrees_with_uniform():
         assert len(keys) == 3
         tv = np.abs(counts / counts.sum() - 1 / 3).sum() / 2
         assert tv < 0.02
+
+
+def _z(values, mean):
+    """Standard score of the sample mean of `values` against `mean`."""
+    x = np.asarray(values, dtype=float)
+    return (x.mean() - float(mean)) / (x.std(ddof=1) / math.sqrt(x.size))
+
+
+def test_switch_chain_default_matches_exact_references():
+    # chains at the default step count against means known exactly, |z| < 4.
+    # Relabelling vertices permutes the realizations of a regular sequence,
+    # so every vertex pair is an edge with probability m / C(n, 2): the
+    # overlap with the Havel-Hakimi start has mean m^2 / C(n, 2), and the
+    # edges inside vertices 1..n//3 have mean C(n//3, 2) m / C(n, 2)
+    seq = families.regular(6, 30)
+    n, m, side = seq.n, seq.m, seq.n + 1
+    pairs = math.comb(n, 2)
+    codes = switch_chain_batch(seq, None, 8192, substream(1804, 0))
+    start = [a * side + b for a, b in havel_hakimi_construct(seq).edges()]
+    overlap = np.isin(codes, start).sum(axis=1)
+    assert abs(_z(overlap, Fraction(m * m, pairs))) < 4
+    third = n // 3
+    inside = (codes % side <= third).sum(axis=1)  # lo < hi <= third
+    assert abs(_z(inside, Fraction(math.comb(third, 2) * m, pairs))) < 4
+    # the exact mean number of edge components (two adjacent leaves)
+    seq = families.leaves_near_sqrt_m(60)
+    realizations, _, totals = count_connectivity(seq.degrees)
+    side = seq.n + 1
+    codes = switch_chain_batch(seq, None, 8192, substream(1804, 1))
+    leaf = np.array([False] + [d == 1 for d in seq.degrees])
+    edges = (leaf[codes // side] & leaf[codes % side]).sum(axis=1)
+    assert abs(_z(edges, Fraction(totals[(1, 1)], realizations))) < 4
 
 
 def test_switch_chain_refuses_oversized_adjacency(monkeypatch):
